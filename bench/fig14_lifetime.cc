@@ -79,13 +79,16 @@ scanOverheadLatency(unsigned scan_blocks)
     sp.footprintBytes = 8 * kMiB;
     sp.count = 0;
     SyntheticGenerator gen(sp);
-    QueueDriver drv(
-        e, gen,
+    NvmeHost host(
+        e,
         [&ssd](const IoRequest &r, Engine::Callback cb) {
             ssd.submit(r, std::move(cb));
         },
-        64);
-    drv.start();
+        NvmeHostParams{});
+    TenantParams tp;
+    tp.queueDepth = 64;
+    host.addTenant(tp, gen);
+    host.start();
     // Spread scan reads over the window.
     const Tick window = 20 * tickMs;
     if (scan_blocks > 0) {
@@ -99,9 +102,9 @@ scanOverheadLatency(unsigned scan_blocks)
         }
     }
     e.runUntil(window);
-    drv.stop();
+    host.stop();
     e.run();
-    return drv.writeLatency().mean() / tickUs;
+    return host.writeLatency().mean() / tickUs;
 }
 
 } // namespace

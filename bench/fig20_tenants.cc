@@ -3,8 +3,9 @@
  * Fig 20: multi-tenant SLO compliance and tail latency under
  * open-loop fleet load, Baseline vs dSSD_f.
  *
- * Two experiments drive the multi-queue NVMe host front-end
- * (hil/nvme_host.hh) instead of the single closed-loop QueueDriver:
+ * Two experiments drive several tenants of the NVMe host front-end
+ * (hil/nvme_host.hh) instead of the single closed-loop tenant the
+ * other figures use:
  *
  *  (a) Load sweep: four identical tenants submit Poisson open-loop
  *      traffic at a swept aggregate rate. Offered load beyond device

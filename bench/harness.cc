@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <thread>
-
 #include <memory>
+#include <thread>
 
 #include "sim/log.hh"
 #include "sim/registry.hh"
@@ -16,6 +18,51 @@ namespace dssd
 {
 namespace bench
 {
+
+namespace
+{
+
+bool
+isDigit(char c)
+{
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+}
+
+} // namespace
+
+std::uint64_t
+parseUnsignedOpt(const char *flag, const char *text, std::uint64_t lo,
+                 std::uint64_t hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    std::uint64_t v = std::strtoull(text, &end, 10);
+    if (!isDigit(text[0]) || *end != '\0' || errno == ERANGE || v < lo ||
+        v > hi) {
+        fatal("%s needs an integer in [%llu, %llu], got '%s'", flag,
+              static_cast<unsigned long long>(lo),
+              static_cast<unsigned long long>(hi), text);
+    }
+    return v;
+}
+
+double
+parseRealOpt(const char *flag, const char *text, double lo, double hi,
+             bool lo_open)
+{
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    bool digit_first =
+        isDigit(text[0]) || (text[0] == '.' && isDigit(text[1]));
+    if (!digit_first || *end != '\0' || errno == ERANGE || v < lo ||
+        (lo_open && v == lo) || v > hi) {
+        fatal("%s needs a number in %c%g, %g%c, got '%s'", flag,
+              lo_open ? '(' : '[', lo, hi, std::isinf(hi) ? ')' : ']',
+              text);
+    }
+    return v;
+}
 
 BenchOpts
 BenchOpts::parse(int argc, char **argv)
@@ -36,9 +83,10 @@ BenchOpts::parse(int argc, char **argv)
         if (std::strcmp(argv[i], "--full") == 0)
             o.full = true;
         else if ((v = value("--seed", i)))
-            o.seed = std::strtoull(v, nullptr, 10);
+            o.seed = parseUnsignedOpt("--seed", v, 0);
         else if ((v = value("--threads", i)))
-            o.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            o.threads = static_cast<unsigned>(
+                parseUnsignedOpt("--threads", v, 0, kMaxParallelism));
         else if ((v = value("--json", i)))
             o.json = v;
         else if ((v = value("--trace", i)))
@@ -49,12 +97,13 @@ BenchOpts::parse(int argc, char **argv)
             o.faults = true;
         else if ((v = value("--fault-seed", i))) {
             o.faults = true;
-            o.faultSeed = std::strtoull(v, nullptr, 10);
+            o.faultSeed = parseUnsignedOpt("--fault-seed", v, 0);
         } else if ((v = value("--shards", i)))
-            o.shards = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            o.shards = static_cast<unsigned>(
+                parseUnsignedOpt("--shards", v, 1, kMaxParallelism));
         else if ((v = value("--engine-threads", i))) {
-            o.engineThreads =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            o.engineThreads = static_cast<unsigned>(
+                parseUnsignedOpt("--engine-threads", v, 0, kMaxParallelism));
         } else if (std::strcmp(argv[i], "--timing") == 0)
             o.timing = true;
         else if ((v = value("--array-gc", i))) {
@@ -88,11 +137,9 @@ BenchOpts::parse(int argc, char **argv)
                       "\",burst:FACTOR[:ON_MS[:OFF_MS]]\")",
                       v);
             o.arrival = v;
-        } else if ((v = value("--slo", i))) {
-            o.sloUs = std::strtod(v, nullptr);
-            if (o.sloUs <= 0.0)
-                fatal("--slo needs a positive latency target in us");
-        } else if ((v = value("--gc-policy", i))) {
+        } else if ((v = value("--slo", i)))
+            o.sloUs = parseRealOpt("--slo", v, 0.0, INFINITY, true);
+        else if ((v = value("--gc-policy", i))) {
             if (!isVictimPolicy(v))
                 fatal("unknown --gc-policy '%s' (supported: greedy "
                       "costbenefit windowed)",
@@ -289,46 +336,44 @@ runExperiment(const ExpParams &p)
             a->submit(r, std::move(cb));
     };
 
-    std::unique_ptr<QueueDriver> drv;
-    std::unique_ptr<NvmeHost> host;
+    // One host front-end: the fleet tenants when the experiment names
+    // them, else one closed-loop tenant of queueDepth on the
+    // experiment's generator, else (queueDepth 0) no host I/O at all.
+    NvmeHostParams hp;
+    hp.policy = p.arbiter;
+    hp.deviceDepth = p.hostDeviceDepth;
+    NvmeHost host(engine, submit_fn, hp);
     std::vector<std::unique_ptr<Generator>> tenant_gens;
-    if (!p.hostTenants.empty()) {
-        // Multi-tenant host front-end: one generator (and one
-        // submission queue) per tenant, decisions by the arbiter.
-        NvmeHostParams hp;
-        hp.policy = p.arbiter;
-        hp.deviceDepth = p.hostDeviceDepth;
-        host = std::make_unique<NvmeHost>(engine, submit_fn, hp);
-        for (std::size_t i = 0; i < p.hostTenants.size(); ++i) {
-            const HostTenant &ht = p.hostTenants[i];
-            SyntheticParams sp;
-            sp.readRatio = ht.readRatio;
-            sp.sequential = ht.sequential;
-            sp.requestBytes = ht.requestBytes;
-            sp.footprintBytes = std::max<std::uint64_t>(
-                lpn_count * cfg.geom.pageBytes / 2,
-                4 * ht.requestBytes);
-            sp.count = 0;
-            // Distinct request and arrival streams per tenant, both
-            // derived from the experiment seed.
-            sp.seed = p.seed + 1000 * (i + 1);
-            std::unique_ptr<Generator> g =
-                std::make_unique<SyntheticGenerator>(sp);
-            bool open = ht.arrival.kind != ArrivalKind::Closed;
-            if (open) {
-                g = std::make_unique<OpenLoopGenerator>(
-                    std::move(g), ht.arrival,
-                    p.seed + 1000 * (i + 1) + 500);
-            }
-            host->addTenant(ht.tenant, *g, open);
-            tenant_gens.push_back(std::move(g));
+    for (std::size_t i = 0; i < p.hostTenants.size(); ++i) {
+        const HostTenant &ht = p.hostTenants[i];
+        SyntheticParams sp;
+        sp.readRatio = ht.readRatio;
+        sp.sequential = ht.sequential;
+        sp.requestBytes = ht.requestBytes;
+        sp.footprintBytes = std::max<std::uint64_t>(
+            lpn_count * cfg.geom.pageBytes / 2, 4 * ht.requestBytes);
+        sp.count = 0;
+        // Distinct request and arrival streams per tenant, both
+        // derived from the experiment seed.
+        sp.seed = p.seed + 1000 * (i + 1);
+        std::unique_ptr<Generator> g =
+            std::make_unique<SyntheticGenerator>(sp);
+        bool open = ht.arrival.kind != ArrivalKind::Closed;
+        if (open) {
+            g = std::make_unique<OpenLoopGenerator>(
+                std::move(g), ht.arrival, p.seed + 1000 * (i + 1) + 500);
         }
-        host->start();
-    } else if (p.queueDepth > 0) {
-        drv = std::make_unique<QueueDriver>(engine, *gen, submit_fn,
-                                            p.queueDepth);
-        drv->start();
+        host.addTenant(ht.tenant, *g, open);
+        tenant_gens.push_back(std::move(g));
     }
+    if (p.hostTenants.empty() && p.queueDepth > 0) {
+        TenantParams tp;
+        tp.queueDepth = p.queueDepth;
+        host.addTenant(tp, *gen);
+    }
+    const bool has_host = host.tenantCount() > 0;
+    if (has_host)
+        host.start();
 
     // GC load: forced rounds, re-armed until the window closes so GC
     // pressure persists for the whole measurement (the paper assumes
@@ -380,10 +425,8 @@ runExperiment(const ExpParams &p)
         engine.runUntil(p.window);
     if (gc_loop)
         gc_loop->stopped = true;
-    if (drv)
-        drv->stop();
-    if (host)
-        host->stop();
+    if (has_host)
+        host.stop();
     if (array)
         array->run();
     else
@@ -416,57 +459,35 @@ runExperiment(const ExpParams &p)
             single->registerStats(reg, "ssd0");
         else
             array->registerStats(reg, "ssd0");
-        if (drv)
-            drv->registerStats(reg, "host");
-        if (host)
-            host->registerStats(reg, "host");
+        if (has_host)
+            host.registerStats(reg, "host");
         reg.writeJson(p.statsPath);
     }
 
+    // Without host I/O every host stat is empty and reads as zero.
     ExpResult r;
-    if (drv) {
-        r.ioBytesPerSec = drv->ioBytes().averageRate(0, p.window);
-        r.avgLatencyUs = drv->allLatency().mean() / tickUs;
-        r.p99LatencyUs = drv->allLatency().percentile(99) / tickUs;
-        r.p999LatencyUs = drv->allLatency().percentile(99.9) / tickUs;
-        r.readAvgLatencyUs = drv->readLatency().mean() / tickUs;
-        r.readP99LatencyUs = drv->readLatency().percentile(99) / tickUs;
-        r.readP999LatencyUs =
-            drv->readLatency().percentile(99.9) / tickUs;
-        r.ioCompleted = drv->completed();
-        auto series = drv->ioBytes().ratePerSec();
-        for (double v : series)
-            r.ioBwSeries.push_back(v / 1e9);
-    }
-    if (host) {
-        r.ioBytesPerSec = host->ioBytes().averageRate(0, p.window);
-        r.avgLatencyUs = host->allLatency().mean() / tickUs;
-        r.p99LatencyUs = host->allLatency().percentile(99) / tickUs;
-        r.p999LatencyUs =
-            host->allLatency().percentile(99.9) / tickUs;
-        r.readAvgLatencyUs = host->readLatency().mean() / tickUs;
-        r.readP99LatencyUs =
-            host->readLatency().percentile(99) / tickUs;
-        r.readP999LatencyUs =
-            host->readLatency().percentile(99.9) / tickUs;
-        r.ioCompleted = host->completed();
-        auto series = host->ioBytes().ratePerSec();
-        for (double v : series)
-            r.ioBwSeries.push_back(v / 1e9);
-        for (unsigned t = 0; t < host->tenantCount(); ++t) {
-            const TenantStats &ts = host->tenantStats(t);
-            TenantResult tr;
-            tr.ioBytesPerSec = ts.ioBytes().averageRate(0, p.window);
-            tr.avgLatencyUs = ts.latency().mean() / tickUs;
-            tr.p99LatencyUs = ts.latency().percentile(99) / tickUs;
-            tr.p999LatencyUs =
-                ts.latency().percentile(99.9) / tickUs;
-            tr.sloCompliance = ts.sloCompliance();
-            tr.completed = ts.completed();
-            tr.dropped = ts.dropped();
-            tr.sloViolations = ts.sloViolations();
-            r.tenants.push_back(tr);
-        }
+    r.ioBytesPerSec = host.ioBytes().averageRate(0, p.window);
+    r.avgLatencyUs = host.allLatency().mean() / tickUs;
+    r.p99LatencyUs = host.allLatency().percentile(99) / tickUs;
+    r.p999LatencyUs = host.allLatency().percentile(99.9) / tickUs;
+    r.readAvgLatencyUs = host.readLatency().mean() / tickUs;
+    r.readP99LatencyUs = host.readLatency().percentile(99) / tickUs;
+    r.readP999LatencyUs = host.readLatency().percentile(99.9) / tickUs;
+    r.ioCompleted = host.completed();
+    for (double v : host.ioBytes().ratePerSec())
+        r.ioBwSeries.push_back(v / 1e9);
+    for (unsigned t = 0; t < p.hostTenants.size(); ++t) {
+        const TenantStats &ts = host.tenantStats(t);
+        TenantResult tr;
+        tr.ioBytesPerSec = ts.ioBytes().averageRate(0, p.window);
+        tr.avgLatencyUs = ts.latency().mean() / tickUs;
+        tr.p99LatencyUs = ts.latency().percentile(99) / tickUs;
+        tr.p999LatencyUs = ts.latency().percentile(99.9) / tickUs;
+        tr.sloCompliance = ts.sloCompliance();
+        tr.completed = ts.completed();
+        tr.dropped = ts.dropped();
+        tr.sloViolations = ts.sloViolations();
+        r.tenants.push_back(tr);
     }
     r.gcPagesMoved =
         single ? single->gc().pagesMoved() : array->gcPagesMoved();

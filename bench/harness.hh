@@ -9,6 +9,11 @@
  *
  * All benches run a reduced geometry by default (identical ratios,
  * smaller capacity) and accept --full for the Table 1 geometry.
+ *
+ * Every experiment drives the device through one NvmeHost
+ * (hil/nvme_host.hh): a single closed-loop tenant at
+ * ExpParams::queueDepth, as in the paper, or the ExpParams::hostTenants
+ * fleet.
  */
 
 #ifndef DSSD_BENCH_HARNESS_HH
@@ -16,6 +21,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,7 +29,6 @@
 #include "core/config.hh"
 #include "core/gc.hh"
 #include "core/ssd.hh"
-#include "hil/driver.hh"
 #include "hil/nvme_host.hh"
 #include "workload/arrival.hh"
 
@@ -31,6 +36,26 @@ namespace dssd
 {
 namespace bench
 {
+
+/// Ceiling on --threads, --engine-threads and --shards: above any
+/// host this runs on, low enough that a typo cannot ask for millions
+/// of threads or shards.
+constexpr unsigned kMaxParallelism = 1024;
+
+/**
+ * Strict numeric option value shared by BenchOpts::parse and dssd_sim:
+ * @p text must be a plain decimal number, with no sign, no space and
+ * nothing after it, inside [@p lo, @p hi]. Anything else is fatal,
+ * naming @p flag.
+ */
+std::uint64_t parseUnsignedOpt(
+    const char *flag, const char *text, std::uint64_t lo,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
+
+/** Real-valued parseUnsignedOpt (@p hi may be INFINITY); @p lo_open
+ *  excludes @p lo itself, for options that must be positive. */
+double parseRealOpt(const char *flag, const char *text, double lo,
+                    double hi, bool lo_open = false);
 
 /** Command-line options shared by all benches. */
 struct BenchOpts
@@ -99,10 +124,10 @@ struct BenchOpts
 void banner(const std::string &id, const std::string &what);
 
 /**
- * One fleet tenant of the multi-queue host front-end. When
- * ExpParams::hostTenants is non-empty the experiment drives the
- * device through an NvmeHost (per-tenant queues + arbitration)
- * instead of the single QueueDriver.
+ * One fleet tenant of the NvmeHost front-end. When
+ * ExpParams::hostTenants is non-empty these tenants (per-tenant
+ * queues + arbitration) replace the single closed-loop tenant of
+ * ExpParams::queueDepth.
  */
 struct HostTenant
 {
@@ -141,6 +166,8 @@ struct ExpParams
     /// 0 keeps the historical default (half the logical space).
     double footprintFraction = 0.0;
     BufferMode bufferMode = BufferMode::AlwaysMiss;
+    /// Depth of the single closed-loop host tenant; 0 runs no host
+    /// I/O (pure-GC studies such as fig12/fig13).
     unsigned queueDepth = 64;
     /// Shard count (Fig 18). 1 runs a plain Ssd — bit-identical to the
     /// pre-array harness; >1 runs an SsdArray with modulo sharding.
@@ -155,9 +182,8 @@ struct ExpParams
     unsigned arrayGcMaxConcurrent = 1;
     /// Rotating-parity striping + degraded reads (shards >= 2).
     bool parity = false;
-    /// Multi-tenant host front-end (fig20): when non-empty, an
-    /// NvmeHost with these tenants replaces the QueueDriver (which
-    /// then ignores queueDepth).
+    /// Multi-tenant host (fig20): when non-empty, these tenants
+    /// replace the single closed-loop tenant of queueDepth.
     std::vector<HostTenant> hostTenants;
     /// Submission-queue arbitration policy for the host front-end.
     ArbiterPolicy arbiter = ArbiterPolicy::RoundRobin;

@@ -11,7 +11,7 @@
 
 #include "core/gc.hh"
 #include "core/ssd.hh"
-#include "hil/driver.hh"
+#include "hil/nvme_host.hh"
 
 using namespace dssd;
 
@@ -38,26 +38,29 @@ run(ArchKind arch)
         ssd.mapping().lpnCount() * config.geom.pageBytes / 2;
     wl.count = 0;
     SyntheticGenerator gen(wl);
-    QueueDriver driver(
-        engine, gen,
+    NvmeHost host(
+        engine,
         [&ssd](const IoRequest &req, Engine::Callback done) {
             ssd.submit(req, std::move(done));
         },
-        64);
-    driver.start();
+        NvmeHostParams{});
+    TenantParams tenant;
+    tenant.queueDepth = 64;
+    host.addTenant(tenant, gen);
+    host.start();
 
     // Let I/O reach steady state, then unleash GC.
     const Tick gc_at = 8 * tickMs;
     const Tick window = 24 * tickMs;
     engine.schedule(gc_at, [&ssd] { ssd.gc().forceAll(2, [] {}); });
     engine.runUntil(window);
-    driver.stop();
+    host.stop();
     engine.run();
 
     std::printf("\n=== %s ===  (GC fired at %.0f ms)\n", archName(arch),
                 ticksToMs(gc_at));
     std::printf("%5s  %12s  %s\n", "t(ms)", "IO GB/s", "bar");
-    auto series = driver.ioBytes().ratePerSec();
+    auto series = host.ioBytes().ratePerSec();
     for (std::size_t i = 0; i < series.size() && i < 24; ++i) {
         double gbps = series[i] / 1e9;
         std::printf("%5zu  %12.3f  ", i, gbps);

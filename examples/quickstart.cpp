@@ -12,7 +12,7 @@
 
 #include "core/gc.hh"
 #include "core/ssd.hh"
-#include "hil/driver.hh"
+#include "hil/nvme_host.hh"
 
 using namespace dssd;
 
@@ -48,14 +48,18 @@ main()
     wl.count = 2000;
     SyntheticGenerator gen(wl);
 
-    // 4. Pump it through the host interface at queue depth 64.
-    QueueDriver driver(
-        engine, gen,
+    // 4. Pump it through the host interface: one closed-loop tenant
+    //    at queue depth 64.
+    NvmeHost host(
+        engine,
         [&ssd](const IoRequest &req, Engine::Callback done) {
             ssd.submit(req, std::move(done));
         },
-        /*queue_depth=*/64);
-    driver.start();
+        NvmeHostParams{});
+    TenantParams tenant;
+    tenant.queueDepth = 64;
+    host.addTenant(tenant, gen);
+    host.start();
 
     // 5. Kick one round of garbage collection to see the decoupled
     //    copyback path in action, then run to completion.
@@ -64,13 +68,13 @@ main()
 
     // 6. Report.
     std::printf("\ncompleted requests : %llu\n",
-                static_cast<unsigned long long>(driver.completed()));
+                static_cast<unsigned long long>(host.completed()));
     std::printf("avg latency        : %s\n",
-                formatLatency(driver.allLatency().mean()).c_str());
+                formatLatency(host.allLatency().mean()).c_str());
     std::printf("p99 latency        : %s\n",
-                formatLatency(driver.allLatency().percentile(99)).c_str());
+                formatLatency(host.allLatency().percentile(99)).c_str());
     std::printf("I/O bandwidth      : %s\n",
-                formatBandwidth(driver.ioBytes().averageRate(
+                formatBandwidth(host.ioBytes().averageRate(
                                     0, engine.now()))
                     .c_str());
     std::printf("GC pages moved     : %llu (all via global copyback)\n",

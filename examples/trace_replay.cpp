@@ -16,7 +16,7 @@
 
 #include "core/gc.hh"
 #include "core/ssd.hh"
-#include "hil/driver.hh"
+#include "hil/nvme_host.hh"
 
 using namespace dssd;
 
@@ -73,34 +73,37 @@ main(int argc, char **argv)
                     archName(arch));
     }
 
-    QueueDriver driver(
-        engine, *gen,
+    NvmeHost host(
+        engine,
         [&ssd](const IoRequest &req, Engine::Callback done) {
             ssd.submit(req, std::move(done));
         },
-        64);
-    driver.start();
+        NvmeHostParams{});
+    TenantParams tenant;
+    tenant.queueDepth = 64;
+    host.addTenant(tenant, *gen);
+    host.start();
     // Background GC pressure, as in the paper's trace runs.
     ssd.gc().forceAll(1, [] {});
     engine.run();
 
     std::printf("\nrequests completed : %llu\n",
-                static_cast<unsigned long long>(driver.completed()));
+                static_cast<unsigned long long>(host.completed()));
     std::printf("reads / writes     : %llu / %llu\n",
                 static_cast<unsigned long long>(
-                    driver.readLatency().count()),
+                    host.readLatency().count()),
                 static_cast<unsigned long long>(
-                    driver.writeLatency().count()));
+                    host.writeLatency().count()));
     std::printf("avg latency        : %s\n",
-                formatLatency(driver.allLatency().mean()).c_str());
+                formatLatency(host.allLatency().mean()).c_str());
     std::printf("p50 / p99 / p99.9  : %s / %s / %s\n",
-                formatLatency(driver.allLatency().percentile(50)).c_str(),
-                formatLatency(driver.allLatency().percentile(99)).c_str(),
+                formatLatency(host.allLatency().percentile(50)).c_str(),
+                formatLatency(host.allLatency().percentile(99)).c_str(),
                 formatLatency(
-                    driver.allLatency().percentile(99.9)).c_str());
+                    host.allLatency().percentile(99.9)).c_str());
     std::printf("I/O bandwidth      : %s\n",
                 formatBandwidth(
-                    driver.ioBytes().averageRate(0, engine.now()))
+                    host.ioBytes().averageRate(0, engine.now()))
                     .c_str());
     std::printf("GC pages moved     : %llu, WAF %.2f\n",
                 static_cast<unsigned long long>(ssd.gc().pagesMoved()),

@@ -303,16 +303,6 @@ PageMapping::canAllocate(std::uint32_t unit) const
 }
 
 bool
-PageMapping::canAllocateAny() const
-{
-    for (std::uint32_t u = 0; u < _unitCount; ++u) {
-        if (canAllocate(u))
-            return true;
-    }
-    return false;
-}
-
-bool
 PageMapping::hostCanAllocateIn(std::uint32_t unit) const
 {
     const Unit &u = _units[unit];

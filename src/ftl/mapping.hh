@@ -143,9 +143,6 @@ class PageMapping
     /** Whether @p unit can currently take another page allocation. */
     bool canAllocate(std::uint32_t unit) const;
 
-    /** Whether any unit can take another page allocation. */
-    bool canAllocateAny() const;
-
     /**
      * Whether a *host* write may allocate now. Host writes keep one
      * free block per unit in reserve so in-flight GC relocations

@@ -107,8 +107,12 @@ NvmeHost::pumpTenant(unsigned q)
             break;
         }
         if (req->issueAt > _engine.now()) {
-            // Trace replay: hold a queue slot until the timestamp,
-            // mirroring QueueDriver (see hil/driver.cc).
+            // Trace replay: hold a queue slot until the timestamp.
+            // Keep pulling: a `break` here would serialize burst
+            // arrivals behind one timer and stall earlier-stamped
+            // requests behind an out-of-order one; with one slot held
+            // per waiting request, up to queueDepth future requests
+            // wait concurrently, each firing at its own time.
             ++t.held;
             _engine.scheduleAbs(req->issueAt, [this, q, r = *req] {
                 --_tenants[q].held;
@@ -237,7 +241,7 @@ NvmeHost::submitHead(unsigned q)
     // Latency is end-to-end from SQ entry, not from device submit:
     // under open-loop overload the queue wait IS the latency story.
     // (Closed-loop with free device slots enqueues and submits at the
-    // same tick, which is how the QueueDriver-parity test passes.)
+    // same tick, so there it is the device latency alone.)
     _submit(e.req, [this, q, r = e.req, enq = e.enqueued,
                     id = e.spanId] {
         Tick now = _engine.now();

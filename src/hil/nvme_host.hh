@@ -1,22 +1,26 @@
 /**
  * @file
- * Multi-queue NVMe-style host front-end.
+ * Multi-queue NVMe-style host front-end: the one host model that
+ * every bench, example and test drives.
  *
- * Where QueueDriver models a single closed-loop initiator, NvmeHost
- * models a fleet host: N tenants, each owning one submission queue
- * with its own depth, arbitration weight/priority, token-bucket rate
- * limit, and latency SLO. An Arbiter decides which queue's head
- * enters the device whenever a shared device slot frees, so tenants
- * contend the way NVMe submission queues do in front of a controller.
+ * N tenants each own one submission queue with its own depth,
+ * arbitration weight/priority, token-bucket rate limit, and latency
+ * SLO. An Arbiter decides which queue's head enters the device
+ * whenever a shared device slot frees, so tenants contend the way
+ * NVMe submission queues do in front of a controller. The paper's
+ * figures use the one-tenant case: a single closed-loop queue at
+ * depth 64 pumping requests and collecting end-to-end latency and
+ * bandwidth.
  *
  * Two per-tenant source modes:
  *
  *  - Closed-loop: the tenant's generator is pulled only while the
  *    tenant holds fewer than queueDepth entries (queued + in flight +
- *    timestamp-held), exactly like QueueDriver. With a single tenant,
- *    round-robin arbitration, and a device depth equal to the queue
- *    depth, the submit schedule — and therefore every latency sample —
- *    is identical to QueueDriver's (regression-tested).
+ *    timestamp-held). With a single tenant, round-robin arbitration,
+ *    and a device depth equal to the queue depth, the submit
+ *    schedule — and therefore every latency sample — is identical to
+ *    that of the retired single-queue driver (regression-tested
+ *    against its frozen samples).
  *
  *  - Open-loop: requests arrive at their generator-stamped issueAt
  *    times regardless of queue occupancy; the submission queue grows
@@ -26,8 +30,8 @@
  *
  * stop() semantics: no request is ever cancelled. In-flight requests
  * complete, queued closed-loop requests still enter the device, and
- * timestamp-held closed-loop requests still issue (QueueDriver
- * parity). Only open-loop backlog is dropped — waiting arrivals are
+ * timestamp-held closed-loop requests still issue. Only open-loop
+ * backlog is dropped — waiting arrivals are
  * counted per tenant as `dropped` so an overloaded run's stats are
  * not dominated by the post-window drain.
  *
@@ -107,7 +111,7 @@ class NvmeHost
     unsigned deviceOutstanding() const { return _deviceOutstanding; }
     unsigned deviceDepth() const { return _deviceDepth; }
 
-    /** Aggregate stats across tenants (QueueDriver-shaped). */
+    /** Aggregate stats across tenants. */
     const SampleStat &readLatency() const { return _readLat; }
     const SampleStat &writeLatency() const { return _writeLat; }
     const SampleStat &allLatency() const { return _allLat; }
@@ -123,9 +127,9 @@ class NvmeHost
     void onFinished(Engine::Callback cb) { _onFinished = std::move(cb); }
 
     /**
-     * Register aggregate stats under @p prefix (same shape as
-     * QueueDriver) plus per-tenant stats under
-     * "<prefix>.tenant.<i>.*".
+     * Register aggregate stats under @p prefix (completed,
+     * outstanding, latency.{read,write,all}, io_bytes) plus
+     * per-tenant stats under "<prefix>.tenant.<i>.*".
      */
     void registerStats(StatRegistry &reg, const std::string &prefix) const;
 

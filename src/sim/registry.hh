@@ -11,7 +11,7 @@
  *
  * This is the SimpleSSD-style per-component stat tree: benches and
  * the CLI build a registry after a run (Ssd::registerStats,
- * QueueDriver::registerStats) and dump it behind --stats FILE.
+ * NvmeHost::registerStats) and dump it behind --stats FILE.
  */
 
 #ifndef DSSD_SIM_REGISTRY_HH

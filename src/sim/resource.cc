@@ -218,14 +218,6 @@ BandwidthResource::bytesMoved(int tag) const
 }
 
 void
-BandwidthResource::resetStats()
-{
-    _transfers = 0;
-    std::fill(_busyTicks.begin(), _busyTicks.end(), 0);
-    std::fill(_bytes.begin(), _bytes.end(), 0);
-}
-
-void
 BandwidthResource::registerStats(StatRegistry &reg,
                                  const std::string &prefix) const
 {

@@ -141,9 +141,6 @@ class BandwidthResource
 
     const std::string &name() const { return _name; }
 
-    /** Reset accounting (not the busy-until horizon). */
-    void resetStats();
-
     /** Register transfer/byte/busy accounting under @p prefix. */
     void registerStats(StatRegistry &reg, const std::string &prefix) const;
 

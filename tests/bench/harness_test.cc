@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -171,6 +172,61 @@ TEST(BenchOptsTest, ParsesThreadsAndJsonInBothForms)
     EXPECT_EQ(o2.json, "out.json");
     EXPECT_TRUE(o2.full);
     EXPECT_GE(o2.resolvedThreads(), 1u);
+}
+
+TEST(OptionParseTest, AcceptsPlainNumbersInRange)
+{
+    EXPECT_EQ(parseUnsignedOpt("--qd", "64", 1, 65536), 64u);
+    EXPECT_EQ(parseUnsignedOpt("--seed", "18446744073709551615", 0),
+              18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(parseRealOpt("--read-ratio", "0.7", 0.0, 1.0), 0.7);
+    EXPECT_DOUBLE_EQ(parseRealOpt("--read-ratio", "1", 0.0, 1.0), 1.0);
+    EXPECT_DOUBLE_EQ(parseRealOpt("--factor", ".5", 0.0, INFINITY, true),
+                     0.5);
+}
+
+TEST(OptionParseDeathTest, RejectsOutOfRangeSignedAndJunk)
+{
+    auto bad = [](auto fn, const char *flag) {
+        EXPECT_EXIT(fn(), testing::ExitedWithCode(1),
+                    std::string("fatal: ") + flag + " needs ");
+    };
+    bad([] { parseUnsignedOpt("--qd", "0", 1, 65536); }, "--qd");
+    bad([] { parseUnsignedOpt("--qd", "6x", 1, 65536); }, "--qd");
+    bad([] { parseUnsignedOpt("--qd", "", 1, 65536); }, "--qd");
+    bad([] { parseUnsignedOpt("--qd", " 6", 1, 65536); }, "--qd");
+    bad([] { parseUnsignedOpt("--qd", "+6", 1, 65536); }, "--qd");
+    bad([] { parseUnsignedOpt("--shards", "0", 1, 1024); }, "--shards");
+    bad([] { parseUnsignedOpt("--engine-threads", "-1", 0, 1024); },
+        "--engine-threads");
+    bad([] { parseUnsignedOpt("--seed", "99999999999999999999", 0); },
+        "--seed");
+    bad([] { parseRealOpt("--window-ms", "0", 0.0, 1e9, true); },
+        "--window-ms");
+    bad([] { parseRealOpt("--read-ratio", "1.5", 0.0, 1.0); },
+        "--read-ratio");
+    bad([] { parseRealOpt("--rber-scale", "-3", 0.0, INFINITY); },
+        "--rber-scale");
+    bad([] { parseRealOpt("--rber-scale", "nan", 0.0, INFINITY); },
+        "--rber-scale");
+    bad([] { parseRealOpt("--read-ratio", "0.5x", 0.0, 1.0); },
+        "--read-ratio");
+}
+
+TEST(OptionParseDeathTest, BenchOptsRejectsBadNumbers)
+{
+    auto parse = [](const char *arg) {
+        const char *argv[] = {"bench", arg};
+        BenchOpts::parse(2, const_cast<char **>(argv));
+    };
+    EXPECT_EXIT(parse("--shards=0"), testing::ExitedWithCode(1),
+                "fatal: --shards needs ");
+    EXPECT_EXIT(parse("--engine-threads=-1"), testing::ExitedWithCode(1),
+                "fatal: --engine-threads needs ");
+    EXPECT_EXIT(parse("--threads=4x"), testing::ExitedWithCode(1),
+                "fatal: --threads needs ");
+    EXPECT_EXIT(parse("--slo=0"), testing::ExitedWithCode(1),
+                "fatal: --slo needs ");
 }
 
 TEST(JsonSeriesWriterTest, WritesOrderedSeries)

@@ -10,7 +10,7 @@
 
 #include "core/gc.hh"
 #include "core/ssd.hh"
-#include "hil/driver.hh"
+#include "hil/nvme_host.hh"
 
 namespace dssd
 {
@@ -60,30 +60,33 @@ runInterference(ArchKind arch)
     p.footprintBytes = 8 * kMiB;
     p.count = 0; // unbounded; the window bounds the run
     SyntheticGenerator gen(p);
-    QueueDriver drv(
-        e, gen,
+    NvmeHost host(
+        e,
         [&ssd](const IoRequest &r, Engine::Callback cb) {
             ssd.submit(r, std::move(cb));
         },
-        64);
-    drv.start();
+        NvmeHostParams{});
+    TenantParams tp;
+    tp.queueDepth = 64;
+    host.addTenant(tp, gen);
+    host.start();
 
     bool gc_done = false;
     ssd.gc().forceAll(2, [&] { gc_done = true; });
 
     const Tick window = 40 * tickMs;
     e.runUntil(window);
-    drv.stop();
+    host.stop();
     e.run();
 
     RunResult r;
-    r.ioBytesPerSec = drv.ioBytes().averageRate(0, window);
+    r.ioBytesPerSec = host.ioBytes().averageRate(0, window);
     Tick gc_span = std::min(ssd.gc().lastGcEnd(), window);
     if (gc_span == 0)
         gc_span = window;
     r.gcPagesPerSec = static_cast<double>(ssd.gc().pagesMoved()) /
                       ticksToSec(gc_span);
-    r.p99 = drv.allLatency().percentile(99);
+    r.p99 = host.allLatency().percentile(99);
     r.busGcBytes =
         static_cast<double>(ssd.systemBus().channel().bytesMoved(tagGc));
     EXPECT_TRUE(gc_done) << archName(arch);

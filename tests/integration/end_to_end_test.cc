@@ -4,7 +4,7 @@
 
 #include "core/gc.hh"
 #include "core/ssd.hh"
-#include "hil/driver.hh"
+#include "hil/nvme_host.hh"
 
 namespace dssd
 {
@@ -25,20 +25,23 @@ cfg(ArchKind arch)
     return c;
 }
 
-void
-runWorkload(Ssd &ssd, Engine &e, Generator &gen, unsigned qd,
-            QueueDriver **out_drv)
+/** Run @p gen to completion through one closed-loop tenant of
+ *  depth @p qd; returns the host for its stats. */
+std::unique_ptr<NvmeHost>
+runWorkload(Ssd &ssd, Engine &e, Generator &gen, unsigned qd)
 {
-    static thread_local std::unique_ptr<QueueDriver> driver;
-    driver = std::make_unique<QueueDriver>(
-        e, gen,
+    auto host = std::make_unique<NvmeHost>(
+        e,
         [&ssd](const IoRequest &r, Engine::Callback cb) {
             ssd.submit(r, std::move(cb));
         },
-        qd);
-    *out_drv = driver.get();
-    driver->start();
+        NvmeHostParams{});
+    TenantParams tp;
+    tp.queueDepth = qd;
+    host->addTenant(tp, gen);
+    host->start();
     e.run();
+    return host;
 }
 
 TEST(EndToEndTest, SequentialWriteWorkloadCompletes)
@@ -50,10 +53,9 @@ TEST(EndToEndTest, SequentialWriteWorkloadCompletes)
     p.footprintBytes = 4 * kMiB;
     p.count = 500;
     SyntheticGenerator gen(p);
-    QueueDriver *drv = nullptr;
-    runWorkload(ssd, e, gen, 64, &drv);
-    EXPECT_EQ(drv->completed(), 500u);
-    EXPECT_GT(drv->allLatency().mean(), 0.0);
+    auto host = runWorkload(ssd, e, gen, 64);
+    EXPECT_EQ(host->completed(), 500u);
+    EXPECT_GT(host->allLatency().mean(), 0.0);
 }
 
 TEST(EndToEndTest, MixedWorkloadOnAllArchitectures)
@@ -70,11 +72,10 @@ TEST(EndToEndTest, MixedWorkloadOnAllArchitectures)
         p.footprintBytes = 8 * kMiB;
         p.count = 300;
         SyntheticGenerator gen(p);
-        QueueDriver *drv = nullptr;
-        runWorkload(ssd, e, gen, 32, &drv);
-        EXPECT_EQ(drv->completed(), 300u) << archName(k);
-        EXPECT_GT(drv->readLatency().count(), 0u) << archName(k);
-        EXPECT_GT(drv->writeLatency().count(), 0u) << archName(k);
+        auto host = runWorkload(ssd, e, gen, 32);
+        EXPECT_EQ(host->completed(), 300u) << archName(k);
+        EXPECT_GT(host->readLatency().count(), 0u) << archName(k);
+        EXPECT_GT(host->writeLatency().count(), 0u) << archName(k);
     }
 }
 
@@ -92,9 +93,8 @@ TEST(EndToEndTest, WritePressureTriggersGcAndSurvives)
         ssd.mapping().lpnCount() * c.geom.pageBytes / 2;
     p.count = 3000;
     SyntheticGenerator gen(p);
-    QueueDriver *drv = nullptr;
-    runWorkload(ssd, e, gen, 64, &drv);
-    EXPECT_EQ(drv->completed(), 3000u);
+    auto host = runWorkload(ssd, e, gen, 64);
+    EXPECT_EQ(host->completed(), 3000u);
     EXPECT_GT(ssd.gc().blocksErased(), 0u);
     EXPECT_GT(ssd.gc().pagesMoved(), 0u);
     // WAF is sane: amplification exists but is bounded.
@@ -108,10 +108,9 @@ TEST(EndToEndTest, TraceSynthesizerRunsThroughTheStack)
     Ssd ssd(e, cfg(ArchKind::DSSDNoc));
     ssd.prefill(0.5, 0.1);
     TraceSynthesizer gen(traceProfile("prn_0"), 8 * kMiB, 400, 3);
-    QueueDriver *drv = nullptr;
-    runWorkload(ssd, e, gen, 64, &drv);
-    EXPECT_EQ(drv->completed(), 400u);
-    EXPECT_GT(drv->allLatency().percentile(99), 0.0);
+    auto host = runWorkload(ssd, e, gen, 64);
+    EXPECT_EQ(host->completed(), 400u);
+    EXPECT_GT(host->allLatency().percentile(99), 0.0);
 }
 
 TEST(EndToEndTest, DramHitWorkloadNeverTouchesFlash)
@@ -126,9 +125,8 @@ TEST(EndToEndTest, DramHitWorkloadNeverTouchesFlash)
     p.footprintBytes = 4 * kMiB;
     p.count = 200;
     SyntheticGenerator gen(p);
-    QueueDriver *drv = nullptr;
-    runWorkload(ssd, e, gen, 16, &drv);
-    EXPECT_EQ(drv->completed(), 200u);
+    auto host = runWorkload(ssd, e, gen, 16);
+    EXPECT_EQ(host->completed(), 200u);
     for (unsigned ch = 0; ch < ssd.channelCount(); ++ch)
         EXPECT_EQ(ssd.channel(ch).reads(), 0u);
 }
@@ -142,10 +140,9 @@ TEST(EndToEndTest, BandwidthSeriesCoversTheRun)
     p.footprintBytes = 16 * kMiB;
     p.count = 400;
     SyntheticGenerator gen(p);
-    QueueDriver *drv = nullptr;
-    runWorkload(ssd, e, gen, 64, &drv);
-    EXPECT_DOUBLE_EQ(drv->ioBytes().total(), 400.0 * 16 * kKiB);
-    EXPECT_GE(drv->ioBytes().windows().size(), 1u);
+    auto host = runWorkload(ssd, e, gen, 64);
+    EXPECT_DOUBLE_EQ(host->ioBytes().total(), 400.0 * 16 * kKiB);
+    EXPECT_GE(host->ioBytes().windows().size(), 1u);
 }
 
 } // namespace

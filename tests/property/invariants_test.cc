@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/gc.hh"
@@ -96,8 +97,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MappingProperty,
 // for every topology and buffer depth.
 //
 
+// The topology is a std::string: gtest prints a const char * inside a
+// tuple with its address, which would put a per-run address into
+// the test's name.
 class NocProperty
-    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
 };
 

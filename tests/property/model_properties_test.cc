@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "core/gc.hh"
@@ -24,8 +25,11 @@ namespace
 // src/dst pair and every topology.
 //
 
+// The topology is a std::string: gtest prints a const char * inside a
+// tuple with its address, which would put a per-run address into
+// the test's name.
 class NocLatencyBound
-    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
 };
 

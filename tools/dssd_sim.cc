@@ -13,6 +13,8 @@
  *   dssd_sim --arch=dssd_b --read-ratio=0.7 --random --buffer=real
  */
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +27,21 @@ using namespace dssd::bench;
 
 namespace
 {
+
+/// NVMe's ceiling on submission-queue entries.
+constexpr std::uint64_t kMaxQueueDepth = 65536;
+/// 11.6 simulated days: the window in ticks stays far from overflow.
+constexpr double kMaxWindowMs = 1e9;
+/// --seeds runs one full experiment per seed.
+constexpr std::uint64_t kMaxSeeds = 65536;
+
+/** A geometry count (channels, ways, ...): at least 1. */
+std::uint32_t
+geometryOpt(const char *flag, const char *text)
+{
+    return static_cast<std::uint32_t>(
+        parseUnsignedOpt(flag, text, 1, 65536));
+}
 
 [[noreturn]] void
 usage()
@@ -170,15 +187,16 @@ main(int argc, char **argv)
         else if (flagValue(argv[i], "--trace", &v))
             trace = v;
         else if (flagValue(argv[i], "--req-kb", &v))
-            p.requestBytes = std::strtoull(v, nullptr, 10) * kKiB;
+            p.requestBytes = parseUnsignedOpt("--req-kb", v, 1, kMiB) * kKiB;
         else if (flagValue(argv[i], "--read-ratio", &v))
-            p.readRatio = std::strtod(v, nullptr);
+            p.readRatio = parseRealOpt("--read-ratio", v, 0.0, 1.0);
         else if (std::strcmp(argv[i], "--random") == 0)
             p.sequential = false;
         else if (flagValue(argv[i], "--buffer", &v))
             p.bufferMode = parseBuffer(v);
         else if (flagValue(argv[i], "--qd", &v))
-            p.queueDepth = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            p.queueDepth = static_cast<unsigned>(
+                parseUnsignedOpt("--qd", v, 1, kMaxQueueDepth));
         else if (flagValue(argv[i], "--tenants", &v))
             tenants_spec = v;
         else if (flagValue(argv[i], "--arbiter", &v)) {
@@ -190,13 +208,11 @@ main(int argc, char **argv)
             p.arbiter = *policy;
         } else if (flagValue(argv[i], "--arrival", &v))
             arrival_spec = v;
-        else if (flagValue(argv[i], "--slo", &v)) {
-            slo_us = std::strtod(v, nullptr);
-            if (slo_us <= 0.0)
-                fatal("--slo needs a positive latency target in us");
-        }
+        else if (flagValue(argv[i], "--slo", &v))
+            slo_us = parseRealOpt("--slo", v, 0.0, INFINITY, true);
         else if (flagValue(argv[i], "--shards", &v))
-            p.shards = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            p.shards = static_cast<unsigned>(
+                parseUnsignedOpt("--shards", v, 1, kMaxParallelism));
         else if (flagValue(argv[i], "--array-gc", &v)) {
             auto policy = parseArrayGcPolicy(v);
             if (!policy) {
@@ -208,52 +224,54 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--parity") == 0)
             p.parity = true;
         else if (flagValue(argv[i], "--engine-threads", &v))
-            p.engineThreads =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            p.engineThreads = static_cast<unsigned>(
+                parseUnsignedOpt("--engine-threads", v, 0, kMaxParallelism));
         else if (flagValue(argv[i], "--window-ms", &v))
-            p.window = msToTicks(std::strtod(v, nullptr));
+            p.window = msToTicks(
+                parseRealOpt("--window-ms", v, ticksToMs(1), kMaxWindowMs));
         else if (flagValue(argv[i], "--channels", &v))
-            p.channels = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            p.channels = geometryOpt("--channels", v);
         else if (flagValue(argv[i], "--ways", &v))
-            p.ways = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            p.ways = geometryOpt("--ways", v);
         else if (flagValue(argv[i], "--planes", &v))
-            p.planes = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            p.planes = geometryOpt("--planes", v);
         else if (flagValue(argv[i], "--blocks", &v))
-            p.blocksPerPlane =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            p.blocksPerPlane = geometryOpt("--blocks", v);
         else if (flagValue(argv[i], "--pages", &v))
-            p.pagesPerBlock =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            p.pagesPerBlock = geometryOpt("--pages", v);
         else if (std::strcmp(argv[i], "--tlc") == 0)
             p.tlc = true;
         else if (flagValue(argv[i], "--topology", &v))
             p.nocTopology = v;
         else if (flagValue(argv[i], "--factor", &v))
-            p.onChipFactor = std::strtod(v, nullptr);
+            p.onChipFactor = parseRealOpt("--factor", v, 0.0, INFINITY, true);
         else if (std::strcmp(argv[i], "--no-gc") == 0)
             p.runGc = false;
         else if (flagValue(argv[i], "--srt-remaps", &v))
-            p.srtRemapsPerChannel =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            p.srtRemapsPerChannel = static_cast<unsigned>(
+                parseUnsignedOpt("--srt-remaps", v, 0, UINT32_MAX));
         else if (std::strcmp(argv[i], "--faults") == 0)
             p.fault.enabled = true;
         else if (flagValue(argv[i], "--fault-seed", &v)) {
             p.fault.enabled = true;
-            p.fault.seed = std::strtoull(v, nullptr, 10);
+            p.fault.seed = parseUnsignedOpt("--fault-seed", v, 0);
         } else if (flagValue(argv[i], "--rber-scale", &v)) {
             p.fault.enabled = true;
-            p.fault.rberScale = std::strtod(v, nullptr);
+            p.fault.rberScale =
+                parseRealOpt("--rber-scale", v, 0.0, INFINITY);
         }
         else if (flagValue(argv[i], "--trace-out", &v))
             p.tracePath = v;
         else if (flagValue(argv[i], "--stats", &v))
             p.statsPath = v;
         else if (flagValue(argv[i], "--seeds", &v))
-            seeds = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            seeds = static_cast<unsigned>(
+                parseUnsignedOpt("--seeds", v, 1, kMaxSeeds));
         else if (flagValue(argv[i], "--seed", &v))
-            p.seed = std::strtoull(v, nullptr, 10);
+            p.seed = parseUnsignedOpt("--seed", v, 0);
         else if (flagValue(argv[i], "--threads", &v))
-            threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            threads = static_cast<unsigned>(
+                parseUnsignedOpt("--threads", v, 0, kMaxParallelism));
         else
             usage();
     }

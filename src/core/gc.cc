@@ -13,8 +13,10 @@ namespace dssd
 
 GcEngine::GcEngine(Ssd &ssd, const GcParams &params)
     : _ssd(ssd), _params(params),
-      _units(ssd.mapping().unitCount()), _firstStart(maxTick),
-      _roundStart(maxTick)
+      _units(ssd.mapping().unitCount()),
+      _spaceWaits(ssd.engine(), "GC copy destination",
+                  [this] { return _ssd.spaceState(); }),
+      _firstStart(maxTick), _roundStart(maxTick)
 {
     if (_params.preemptQuantumPages == 0)
         _params.preemptQuantumPages = 1;
@@ -325,8 +327,7 @@ GcEngine::pumpCopies(std::uint32_t unit)
         if (!dst_unit) {
             // Nowhere to relocate right now; wait for an erase to
             // restore space somewhere, then resume.
-            _ssd.engine().schedule(usToTicks(2),
-                                   [this, unit] { pumpCopies(unit); });
+            _spaceWaits.park([this, unit] { pumpCopies(unit); });
             return;
         }
         ++u.nextLpn;

@@ -25,6 +25,7 @@
 
 #include "ftl/policy.hh"
 #include "sim/engine.hh"
+#include "sim/resource.hh"
 #include "sim/stats.hh"
 
 namespace dssd
@@ -216,6 +217,7 @@ class GcEngine
     Ssd &_ssd;
     GcParams _params;
     std::vector<UnitState> _units;
+    RetryQueue _spaceWaits; ///< copies with no destination unit
     unsigned _activeUnits = 0;
     unsigned _pausedUnits = 0;
     std::uint64_t _preemptYields = 0;

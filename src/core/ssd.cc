@@ -29,7 +29,20 @@ BreakdownStats::mean() const
 }
 
 Ssd::Ssd(Engine &engine, const SsdConfig &config)
-    : _engine(engine), _config(config), _rng(config.seed)
+    : _engine(engine), _config(config), _rng(config.seed),
+      _bufferWaits(engine, "buffered host write",
+                   [this] {
+                       return strformat(
+                           "write buffer %llu/%llu pages, %u flushes in "
+                           "flight",
+                           static_cast<unsigned long long>(
+                               _writeBuffer->occupancy()),
+                           static_cast<unsigned long long>(
+                               _writeBuffer->capacity()),
+                           _flush->inFlight());
+                   }),
+      _spaceWaits(engine, "direct host write",
+                  [this] { return spaceState(); })
 {
     _config.geom.validate();
 
@@ -84,7 +97,8 @@ Ssd::Ssd(Engine &engine, const SsdConfig &config)
                 });
             });
         },
-        [this](std::uint32_t unit) { _gc->noteAllocation(unit); });
+        [this](std::uint32_t unit) { _gc->noteAllocation(unit); },
+        [this] { return spaceState(); });
 
     if (_config.fault.enabled) {
         _fault =
@@ -114,6 +128,7 @@ Ssd::Ssd(Engine &engine, const SsdConfig &config)
             _channels[addr.channel]->program(addr, 1, tag,
                                              std::move(done), bd);
         };
+        routes.spaceState = [this] { return spaceState(); };
         if (isDecoupled(_config.arch)) {
             routes.hardwareRepair = [this](const PhysAddr &addr) {
                 return _datapath->tryHardwareRepair(addr, *_recovery);
@@ -228,6 +243,17 @@ Ssd::registerStats(StatRegistry &reg, const std::string &prefix) const
             return static_cast<double>(_recovery->remapEvents());
         });
     }
+}
+
+std::string
+Ssd::spaceState() const
+{
+    std::uint64_t free_blocks = 0;
+    for (std::uint32_t u = 0; u < _mapping->unitCount(); ++u)
+        free_blocks += _mapping->freeBlockCount(u);
+    return strformat("%llu free blocks in %u units, %u GC units active",
+                     static_cast<unsigned long long>(free_blocks),
+                     _mapping->unitCount(), _gc->activeUnits());
 }
 
 FlashChannel &
@@ -367,11 +393,10 @@ Ssd::bufferedWrite(Lpn lpn, std::shared_ptr<LatencyBreakdown> bd,
     if (_writeBuffer->mode() == BufferMode::Real &&
         _writeBuffer->occupancy() >= _writeBuffer->capacity() &&
         !_writeBuffer->readHit(lpn)) {
-        bd->other += usToTicks(2);
-        if (bd->other > tickSec)
-            panic("buffered write stalled >1s: flush path wedged");
-        _engine.schedule(usToTicks(2), [this, lpn, bd, finish] {
-            bufferedWrite(lpn, bd, finish);
+        bd->other += RetryQueue::kPeriod;
+        _bufferWaits.park([this, lpn, bd = std::move(bd),
+                           finish = std::move(finish)]() mutable {
+            bufferedWrite(lpn, std::move(bd), std::move(finish));
         });
         _flush->maybeStart();
         return;
@@ -398,12 +423,10 @@ Ssd::retryDirectWrite(Lpn lpn, std::shared_ptr<LatencyBreakdown> bd,
                       Callback finish)
 {
     if (!_mapping->hostCanAllocate()) {
-        bd->other += usToTicks(2);
-        if (bd->other > tickSec)
-            panic("host write stalled >1s: device full and GC cannot "
-                  "reclaim space");
-        _engine.schedule(usToTicks(2), [this, lpn, bd, finish] {
-            retryDirectWrite(lpn, bd, finish);
+        bd->other += RetryQueue::kPeriod;
+        _spaceWaits.park([this, lpn, bd = std::move(bd),
+                          finish = std::move(finish)]() mutable {
+            retryDirectWrite(lpn, std::move(bd), std::move(finish));
         });
         return;
     }

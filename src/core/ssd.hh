@@ -22,6 +22,7 @@
 #define DSSD_CORE_SSD_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bus/system_bus.hh"
@@ -36,6 +37,7 @@
 #include "sim/audit.hh"
 #include "sim/engine.hh"
 #include "sim/pool.hh"
+#include "sim/resource.hh"
 #include "sim/rng.hh"
 #include "workload/request.hh"
 
@@ -170,6 +172,13 @@ class Ssd
     /** Host page operations currently in flight. */
     unsigned ioOutstanding() const { return _ioOutstanding; }
 
+    /**
+     * Free blocks and active GC units: the state every free-space wait
+     * (direct writes, flushes, GC copies, fault relocation) names when
+     * it wedges.
+     */
+    std::string spaceState() const;
+
     const BreakdownStats &ioBreakdown() const { return _ioBreakdown; }
     const BreakdownStats &copybackBreakdown() const
     {
@@ -199,12 +208,12 @@ class Ssd
   private:
     void readPageInternal(Lpn lpn, Callback done);
     void writePageInternal(Lpn lpn, Callback done);
-    /** Buffered write with write-cache backpressure (stalls while the
-     *  buffer is full and the flusher is draining). */
+    /** Buffered write with write-cache backpressure (retries on
+     *  _bufferWaits while the buffer is full and the flusher drains). */
     void bufferedWrite(Lpn lpn, std::shared_ptr<LatencyBreakdown> bd,
                        Callback finish);
-    /** Direct write with free-space backpressure (retries until GC
-     *  frees a block). */
+    /** Direct write with free-space backpressure (retries on
+     *  _spaceWaits until GC frees a block). */
     void retryDirectWrite(Lpn lpn, std::shared_ptr<LatencyBreakdown> bd,
                           Callback finish);
     void directWrite(Lpn lpn, std::shared_ptr<LatencyBreakdown> bd,
@@ -236,6 +245,8 @@ class Ssd
     std::unique_ptr<FaultModel> _fault;
     std::unique_ptr<RecoveryEngine> _recovery;
     std::unique_ptr<Auditor> _auditor;
+    RetryQueue _bufferWaits; ///< host writes facing a full write buffer
+    RetryQueue _spaceWaits;  ///< direct host writes facing no free page
 
     unsigned _ioOutstanding = 0;
     std::uint64_t _hostReads = 0;

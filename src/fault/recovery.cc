@@ -15,7 +15,8 @@ RecoveryEngine::RecoveryEngine(Engine &engine, const FlashGeometry &geom,
                                Routes routes)
     : _engine(engine), _geom(geom), _mapping(mapping), _bus(bus),
       _dram(dram), _gcFirmwareLatency(gc_firmware_latency),
-      _routes(std::move(routes))
+      _routes(std::move(routes)),
+      _spaceWaits(engine, "fault relocation", _routes.spaceState)
 {
     std::uint32_t blocks_per_channel = _geom.ways * _geom.diesPerWay *
                                        _geom.planesPerDie *
@@ -114,9 +115,9 @@ RecoveryEngine::relocateRetired(std::shared_ptr<std::vector<Lpn>> lpns,
             }
         }
         if (dst_unit == n) {
-            _engine.schedule(usToTicks(2),
-                             [this, lpns, idx, unit, block] {
-                relocateRetired(lpns, idx, unit, block);
+            _spaceWaits.park([this, lpns = std::move(lpns), idx, unit,
+                              block]() mutable {
+                relocateRetired(std::move(lpns), idx, unit, block);
             });
             return;
         }

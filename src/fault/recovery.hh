@@ -33,6 +33,7 @@
 #include "ftl/mapping.hh"
 #include "sim/engine.hh"
 #include "sim/latency.hh"
+#include "sim/resource.hh"
 
 namespace dssd
 {
@@ -47,7 +48,8 @@ class RecoveryEngine : public FaultSink
      * Architecture-specific routes injected by the owner. copyPage,
      * channelRead, channelProgram, and softDecode must always be set;
      * hardwareRepair and unremap are left unset on architectures
-     * without repair hardware (retirement-only handling).
+     * without repair hardware (retirement-only handling); spaceState
+     * is optional.
      */
     struct Routes
     {
@@ -73,6 +75,9 @@ class RecoveryEngine : public FaultSink
         std::function<void(const PhysAddr &addr, int tag,
                            LatencyBreakdown *bd, Callback done)>
             channelProgram;
+        /// Free space and GC activity, named by the error a wedged
+        /// relocation wait stops with.
+        RetryQueue::StateFn spaceState;
     };
 
     RecoveryEngine(Engine &engine, const FlashGeometry &geom,
@@ -123,7 +128,8 @@ class RecoveryEngine : public FaultSink
     /** FTL bad-block retirement of @p addr's block. */
     void retireBlock(const PhysAddr &addr);
     /** Relocate the remaining @p lpns (from @p idx) of a retiring
-     *  block, one at a time. */
+     *  block, one at a time; waits on _spaceWaits while no unit has
+     *  room. */
     void relocateRetired(std::shared_ptr<std::vector<Lpn>> lpns,
                          std::size_t idx, std::uint32_t unit,
                          std::uint32_t block);
@@ -138,6 +144,7 @@ class RecoveryEngine : public FaultSink
     Dram &_dram;
     Tick _gcFirmwareLatency;
     Routes _routes;
+    RetryQueue _spaceWaits; ///< relocations with no destination unit
 
     FaultSink *_override = nullptr;
     /// _faultedBlocks[channel][blockId]: escalate each physical block

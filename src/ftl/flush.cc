@@ -10,11 +10,13 @@ namespace dssd
 FlushEngine::FlushEngine(Engine &engine, PageMapping &mapping,
                          WriteBuffer &buffer, unsigned in_flight,
                          ResolveFn resolve, WriteBackFn write_back,
-                         AllocNoteFn note_allocation)
+                         AllocNoteFn note_allocation,
+                         RetryQueue::StateFn space_state)
     : _engine(engine), _mapping(mapping), _buffer(buffer),
       _maxInFlight(in_flight), _resolve(std::move(resolve)),
       _writeBack(std::move(write_back)),
-      _note(std::move(note_allocation))
+      _note(std::move(note_allocation)),
+      _spaceWaits(engine, "flush write-back", std::move(space_state))
 {
 }
 
@@ -69,8 +71,7 @@ FlushEngine::flushOne(Lpn lpn, Callback done)
 {
     if (!_mapping.hostCanAllocate()) {
         // Free pool exhausted: hold this flush until GC reclaims.
-        _engine.schedule(usToTicks(2),
-                         [this, lpn, done = std::move(done)]() mutable {
+        _spaceWaits.park([this, lpn, done = std::move(done)]() mutable {
             flushOne(lpn, std::move(done));
         });
         return;

@@ -6,9 +6,9 @@
  * keeping a bounded number of write-backs in flight. Flushing starts
  * when the buffer crosses its high watermark and stops at the low one;
  * a flush that cannot allocate (free pool exhausted) holds its page
- * and retries until GC reclaims a block. The host-visible effect is
- * write-cache backpressure: when the buffer is full, host writes stall
- * on this engine's progress.
+ * and retries on a RetryQueue until GC reclaims a block. The
+ * host-visible effect is write-cache backpressure: when the buffer is
+ * full, host writes stall on this engine's progress.
  *
  * The engine owns flush *policy and pacing* only. Address resolution
  * and the timed write-back route (DRAM -> system bus -> flash program)
@@ -26,6 +26,7 @@
 #include "ftl/mapping.hh"
 #include "ftl/writebuffer.hh"
 #include "sim/engine.hh"
+#include "sim/resource.hh"
 
 namespace dssd
 {
@@ -44,9 +45,14 @@ class FlushEngine
     /** Allocation notice for the GC trigger (unit index). */
     using AllocNoteFn = std::function<void(std::uint32_t unit)>;
 
+    /**
+     * @param space_state describes free space and GC activity for the
+     *        error a wedged allocation wait stops with.
+     */
     FlushEngine(Engine &engine, PageMapping &mapping, WriteBuffer &buffer,
                 unsigned in_flight, ResolveFn resolve,
-                WriteBackFn write_back, AllocNoteFn note_allocation);
+                WriteBackFn write_back, AllocNoteFn note_allocation,
+                RetryQueue::StateFn space_state);
 
     /** Start draining if the high watermark tripped (idempotent). */
     void maybeStart();
@@ -74,6 +80,7 @@ class FlushEngine
     ResolveFn _resolve;
     WriteBackFn _writeBack;
     AllocNoteFn _note;
+    RetryQueue _spaceWaits; ///< write-backs facing an exhausted pool
 
     bool _active = false;
     unsigned _inFlight = 0;

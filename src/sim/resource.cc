@@ -320,4 +320,84 @@ SlotResource::registerStats(StatRegistry &reg,
     });
 }
 
+//
+// RetryQueue
+//
+
+RetryQueue::RetryQueue(Engine &engine, std::string name, StateFn state)
+    : _engine(engine), _name(std::move(name)), _state(std::move(state))
+{
+}
+
+RetryQueue::~RetryQueue()
+{
+    // Destroy the callables of retries that never ran; the chunks free
+    // the nodes.
+    for (const Batch &b : _batches) {
+        for (Waiter *w = b.head; w; w = w->next)
+            w->manage(w->storage, false);
+    }
+}
+
+RetryQueue::Waiter *
+RetryQueue::enqueue()
+{
+    Tick now = _engine.now();
+    Tick since = _resuming ? _resumeSince : now;
+    _resuming = false;
+    ++_waiters;
+    if (now - since >= kStallBound) {
+        fatal("%s wait wedged: %zu waiter(s), one waiting %.3f s; %s",
+              _name.c_str(), _waiters, ticksToSec(now - since),
+              _state ? _state().c_str() : "no state");
+    }
+
+    if (!_freeList) {
+        constexpr std::size_t kChunk = 64;
+        auto chunk = std::make_unique<Waiter[]>(kChunk);
+        for (std::size_t i = kChunk; i-- > 0;) {
+            chunk[i].next = _freeList;
+            _freeList = &chunk[i];
+        }
+        _chunks.push_back(std::move(chunk));
+    }
+    Waiter *w = _freeList;
+    _freeList = w->next;
+    w->next = nullptr;
+    w->since = since;
+
+    Tick due = now + kPeriod;
+    if (!_batches.empty() && _batches.back().due == due &&
+        _batches.back().scheduled == scheduledEvents()) {
+        Batch &b = _batches.back();
+        b.tail->next = w;
+        b.tail = w;
+    } else {
+        _engine.schedule(kPeriod, [this] { runBatch(); });
+        _batches.push_back(Batch{due, scheduledEvents(), w, w});
+    }
+    return w;
+}
+
+void
+RetryQueue::runBatch()
+{
+    // Batches are due in parking order, so this event is the oldest's.
+    // Retries parked while it runs are due a period later and land in
+    // newer batches, never in this one.
+    Waiter *w = _batches.front().head;
+    _batches.pop_front();
+    while (w) {
+        Waiter *next = w->next;
+        --_waiters;
+        _resuming = true;
+        _resumeSince = w->since;
+        w->manage(w->storage, true);
+        _resuming = false;
+        w->next = _freeList;
+        _freeList = w;
+        w = next;
+    }
+}
+
 } // namespace dssd

@@ -2,7 +2,8 @@
  * @file
  * Shared-resource primitives for the discrete-event models.
  *
- * Two primitives cover every shared component in the SSD model:
+ * Three primitives cover every shared component and wait in the SSD
+ * model:
  *
  *  - BandwidthResource: a serialized channel (system bus, flash channel
  *    bus, NoC link, DRAM port, ECC pipeline). Transfers are granted in
@@ -13,14 +14,25 @@
  *  - SlotResource: a counting semaphore with FIFO wakeup (router input
  *    buffers, dBUF entries, page-buffer entries, outstanding-command
  *    limits).
+ *
+ *  - RetryQueue: waits that re-check their condition on a fixed 2 us
+ *    grid until space frees (a host write facing a full write buffer
+ *    or an exhausted free pool, a flush, GC copy or fault relocation
+ *    with nowhere to allocate).
  */
 
 #ifndef DSSD_SIM_RESOURCE_HH
 #define DSSD_SIM_RESOURCE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -203,6 +215,120 @@ class SlotResource
     unsigned _maxHeld = 0;
     std::deque<Callback> _waiters;
     mutable int _tracePid = -1; ///< cached trace row (see traceOccupancy)
+};
+
+/**
+ * Polling waits on the 2 us retry grid, batched without moving any
+ * callback's place in the schedule.
+ *
+ * A waiter that cannot proceed parks a retry callable here instead of
+ * scheduling it itself; the callable runs kPeriod ticks later, in the
+ * (tick, sequence) slot its own event would have had. Retries parked
+ * at the same tick with nothing scheduled on the engine in between
+ * would have had consecutive sequence numbers, so nothing could run
+ * between them: they share one engine event (a batch) and run back to
+ * back in parking order. The joining rule reads the engine's scheduled
+ * event count, pendingEvents() + executedEvents() (no event is ever
+ * cancelled), so a retry joins only the newest batch, and only if that
+ * batch is due at the same tick and its event is still the last one
+ * scheduled. Every callback runs at the same tick and in the same order
+ * as with one event per retry; only the executed-event count falls.
+ *
+ * A retry parked while the waiter's previous retry runs continues that
+ * waiter's wait. A wait that reaches kStallBound is wedged: park()
+ * stops the simulation with a fatal error that names the queue, its
+ * waiter count and the state the waiters wait on.
+ */
+class RetryQueue
+{
+  public:
+    /** Describes the state the waiters wait on, for the wedge error. */
+    using StateFn = std::function<std::string()>;
+
+    /** Retry grid: a parked callable runs this many ticks later. */
+    static constexpr Tick kPeriod = usToTicks(2);
+    /** A waiter still waiting this long after it first parked is wedged. */
+    static constexpr Tick kStallBound = tickSec;
+    /** Inline storage per parked callable (checked at compile time). */
+    static constexpr std::size_t kInlineBytes = 64;
+
+    RetryQueue(Engine &engine, std::string name, StateFn state);
+    ~RetryQueue();
+    RetryQueue(const RetryQueue &) = delete;
+    RetryQueue &operator=(const RetryQueue &) = delete;
+
+    /** Run @p fn kPeriod ticks from now (see the class comment). */
+    template <typename F>
+    void
+    park(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= kInlineBytes,
+                      "retry callable exceeds inline storage; shrink the "
+                      "capture or raise RetryQueue::kInlineBytes");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned retry callable");
+        Waiter *w = enqueue();
+        ::new (static_cast<void *>(w->storage)) Fn(std::forward<F>(fn));
+        w->manage = &manageImpl<Fn>;
+    }
+
+    /** Parked retries not yet run. */
+    std::size_t waiters() const { return _waiters; }
+
+  private:
+    struct Waiter
+    {
+        Waiter *next;
+        Tick since; ///< when this waiter's wait began
+        /** Runs (when @p invoke) and destroys the callable in storage. */
+        void (*manage)(void *storage, bool invoke);
+        alignas(std::max_align_t) unsigned char storage[kInlineBytes];
+    };
+
+    /** Retries sharing one engine event, run in parking order. */
+    struct Batch
+    {
+        Tick due;
+        std::uint64_t scheduled; ///< engine event count after its event
+        Waiter *head;
+        Waiter *tail;
+    };
+
+    template <typename Fn>
+    static void
+    manageImpl(void *storage, bool invoke)
+    {
+        Fn *fn = std::launder(reinterpret_cast<Fn *>(storage));
+        if (invoke)
+            (*fn)();
+        fn->~Fn();
+    }
+
+    /** Events the engine has scheduled so far. */
+    std::uint64_t scheduledEvents() const
+    {
+        return _engine.pendingEvents() + _engine.executedEvents();
+    }
+
+    /** Check the stall bound and file a node into a batch. */
+    Waiter *enqueue();
+    /** The oldest batch's event: run its retries in order. */
+    void runBatch();
+
+    Engine &_engine;
+    std::string _name;
+    StateFn _state;
+    std::deque<Batch> _batches;
+    std::size_t _waiters = 0;
+
+    // The waiter whose retry is running: its next park continues it.
+    bool _resuming = false;
+    Tick _resumeSince = 0;
+
+    // Free-list node pool, backed by chunk allocations.
+    Waiter *_freeList = nullptr;
+    std::vector<std::unique_ptr<Waiter[]>> _chunks;
 };
 
 } // namespace dssd

@@ -24,6 +24,20 @@ testConfig(ArchKind arch)
     return c;
 }
 
+/**
+ * Overwrite-churn a small LPN set until a host write can no longer
+ * allocate: each rewrite consumes a fresh page and only invalidates the
+ * old one, so the free pool drains with nothing erased (and, with no
+ * timed allocation, nothing triggers GC).
+ */
+void
+exhaustFreePool(Ssd &ssd)
+{
+    Lpn l = 0;
+    while (ssd.mapping().hostCanAllocate())
+        ssd.mapping().allocate(l++ % 8);
+}
+
 TEST(SsdTest, ConstructsEveryArch)
 {
     for (ArchKind k : {ArchKind::Baseline, ArchKind::BW, ArchKind::DSSD,
@@ -254,13 +268,7 @@ TEST(SsdTest, DirectWriteStallsUntilSpaceIsReclaimed)
     c.writeBuffer.mode = BufferMode::AlwaysMiss;
     Engine e;
     Ssd ssd(e, c);
-    // Overwrite-churn a small LPN set until a host write can no longer
-    // allocate: each rewrite consumes a fresh page and only
-    // invalidates the old one, so the free pool drains with nothing
-    // erased.
-    Lpn l = 0;
-    while (ssd.mapping().hostCanAllocate())
-        ssd.mapping().allocate(l++ % 8);
+    exhaustFreePool(ssd);
 
     bool done = false;
     ssd.writePage(0, [&done] { done = true; });
@@ -315,6 +323,93 @@ TEST(SsdTest, BufferedWriteStallsWhileFullAndResumesAfterDrain)
     for (unsigned ch = 0; ch < ssd.channelCount(); ++ch)
         programs += ssd.channel(ch).programs();
     EXPECT_EQ(programs, ssd.flushedPages());
+}
+
+TEST(SsdTest, ParkedBufferedWritesShareOneRetryEventPerTick)
+{
+    // One submit parks kPages writes behind a full buffer whose flusher
+    // cannot allocate. Each 2 us tick then runs one retry event for all
+    // the parked writes and one for the parked write-backs, not one
+    // event per waiter.
+    SsdConfig c = testConfig(ArchKind::Baseline);
+    c.writeBuffer.mode = BufferMode::Real;
+    c.writeBuffer.capacityPages = 4;
+    Engine e;
+    Ssd ssd(e, c);
+    exhaustFreePool(ssd);
+    // Start the flusher on a full buffer: its two write-backs park on
+    // the exhausted pool. Then top the buffer up again.
+    for (Lpn lpn = 100; lpn < 104; ++lpn)
+        ssd.writeBuffer().insert(lpn);
+    ssd.flushEngine().maybeStart();
+    ASSERT_EQ(ssd.flushEngine().inFlight(), 2u);
+    for (Lpn lpn = 104; ssd.writeBuffer().occupancy() <
+                        ssd.writeBuffer().capacity();
+         ++lpn)
+        ssd.writeBuffer().insert(lpn);
+
+    constexpr std::uint64_t kPages = 16;
+    IoRequest r;
+    r.kind = IoRequest::Kind::Write;
+    r.bytes = kPages * c.geom.pageBytes;
+    bool done = false;
+    ssd.submit(r, [&done] { done = true; });
+    Tick start = c.firmwareLatency + 10 * RetryQueue::kPeriod;
+    e.runUntil(start);
+    ASSERT_EQ(ssd.ioOutstanding(), kPages);
+
+    constexpr std::uint64_t kTicks = 100;
+    std::uint64_t before = e.executedEvents();
+    e.runUntil(start + kTicks * RetryQueue::kPeriod);
+    EXPECT_EQ(e.executedEvents() - before, 2 * kTicks);
+    EXPECT_FALSE(done);
+    EXPECT_EQ(ssd.ioOutstanding(), kPages);
+}
+
+TEST(SsdDeathTest, WedgedFlushStopsWithDiagnostic)
+{
+    // Write-backs that can never allocate (the free pool is exhausted
+    // and nothing triggers GC) would retry forever. After 1 s the flush
+    // wait stops the run, naming its waiters and the free-space state.
+    auto wedge = [] {
+        SsdConfig c = testConfig(ArchKind::Baseline);
+        c.writeBuffer.mode = BufferMode::Real;
+        c.writeBuffer.capacityPages = 4;
+        Engine e;
+        Ssd ssd(e, c);
+        exhaustFreePool(ssd);
+        for (Lpn lpn = 0; lpn < 4; ++lpn)
+            ssd.writePage(lpn, [] {});
+        e.run();
+    };
+    EXPECT_DEATH(wedge(),
+                 "flush write-back wait wedged: 2 waiter\\(s\\), one "
+                 "waiting 1\\.000 s; [0-9]+ free blocks in 16 units, 0 GC "
+                 "units active");
+}
+
+TEST(SsdDeathTest, WedgedBufferedWriteStopsWithDiagnostic)
+{
+    // A flusher whose high watermark the buffer can never cross never
+    // drains it: writes facing the full buffer wait 1 s, then the run
+    // stops, naming the buffer state and the idle flusher.
+    auto wedge = [] {
+        SsdConfig c = testConfig(ArchKind::Baseline);
+        c.writeBuffer.mode = BufferMode::Real;
+        c.writeBuffer.capacityPages = 4;
+        c.writeBuffer.flushHighWatermark = 1.0;
+        Engine e;
+        Ssd ssd(e, c);
+        for (Lpn lpn = 100; lpn < 104; ++lpn)
+            ssd.writeBuffer().insert(lpn);
+        ssd.writePage(0, [] {});
+        ssd.writePage(1, [] {});
+        e.run();
+    };
+    EXPECT_DEATH(wedge(),
+                 "buffered host write wait wedged: 2 waiter\\(s\\), one "
+                 "waiting 1\\.000 s; write buffer 4/4 pages, 0 flushes in "
+                 "flight");
 }
 
 TEST(SsdTest, IoBreakdownAccumulates)

@@ -64,7 +64,8 @@ struct FlushRig
                       done();
                   });
               },
-              [this](std::uint32_t unit) { notedUnits.push_back(unit); })
+              [this](std::uint32_t unit) { notedUnits.push_back(unit); },
+              nullptr)
     {
     }
 
@@ -141,7 +142,7 @@ TEST(FlushEngineTest, ResolveFilterRewritesWritebackTargets)
             targets.push_back(target);
             engine.schedule(10, std::move(done));
         },
-        [](std::uint32_t) {});
+        [](std::uint32_t) {}, nullptr);
     for (Lpn l = 0; l < 9; ++l)
         buffer.insert(l);
     flush.maybeStart();

@@ -31,7 +31,7 @@ runScheme(DsmScheme scheme, bool full, std::uint64_t seed)
     c.timing = tlcTiming();
     Engine engine;
     Ssd ssd(engine, c);
-    SuperblockMapping map(c.geom, 0.0);
+    SuperblockMapping map(c.geom);
 
     DsmParams p;
     p.scheme = scheme;

@@ -73,7 +73,7 @@ runDsmScheme(DsmScheme scheme, const BenchOpts &o, double scale,
 
     Engine engine;
     Ssd ssd(engine, c);
-    SuperblockMapping map(c.geom, 0.0);
+    SuperblockMapping map(c.geom);
 
     DsmParams p;
     p.scheme = scheme;

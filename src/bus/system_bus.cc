@@ -10,16 +10,6 @@ SystemBus::SystemBus(Engine &engine, BytesPerTick bandwidth)
 {
 }
 
-double
-SystemBus::utilization(int tag, Tick from, Tick to) const
-{
-    if (to <= from)
-        return 0.0;
-    // Without a recorder, fall back to cumulative accounting.
-    return static_cast<double>(_channel.busyTicks(tag)) /
-           static_cast<double>(to - from);
-}
-
 Dram::Dram(Engine &engine, BytesPerTick bandwidth)
     : _port(engine, "dram-port", bandwidth)
 {

@@ -38,9 +38,6 @@ class SystemBus
         _channel.attachRecorder(rec);
     }
 
-    /** Utilization of the bus by @p tag over [from, to). */
-    double utilization(int tag, Tick from, Tick to) const;
-
     /** Register the channel's transfer/byte stats under @p prefix. */
     void registerStats(StatRegistry &reg, const std::string &prefix) const
     {

@@ -113,7 +113,7 @@ DynamicSuperblockEngine::onBlockFault(const PhysAddr &addr,
     const FlashGeometry &g = _map.geometry();
     ChannelBlockId phys = channelBlockId(g, addr);
     for (std::uint32_t sb = 0; sb < _map.superblockCount(); ++sb) {
-        if (_map.info(sb).state == SuperblockState::Dead)
+        if (_map.state(sb) == SuperblockState::Dead)
             continue;
         for (std::uint32_t u = 0; u < _map.unitCount(); ++u) {
             PhysAddr slot = _map.slotAddr(sb, u);
@@ -192,7 +192,7 @@ DynamicSuperblockEngine::cycleNext()
     std::uint32_t sb = n;
     for (std::uint32_t i = 0; i < n; ++i) {
         std::uint32_t cand = (_cursor + i) % n;
-        if (_map.info(cand).state == SuperblockState::Free) {
+        if (_map.state(cand) == SuperblockState::Free) {
             sb = cand;
             _cursor = (cand + 1) % n;
             break;
@@ -203,7 +203,7 @@ DynamicSuperblockEngine::cycleNext()
 
     --_remaining;
     ++_stats.cycles;
-    _map.fillAll(sb, static_cast<Lpn>(sb) * _map.pagesPerSuperblock());
+    _map.fillAll(sb);
     programPhase(sb);
 }
 
@@ -231,14 +231,12 @@ DynamicSuperblockEngine::checkFailures(std::uint32_t sb)
     // Sub-blocks at their endurance limit fail this cycle's
     // read-verify (detected by the controller-integrated ECC).
     auto failing = std::make_shared<std::vector<std::uint32_t>>();
-    const FlashGeometry &g = _map.geometry();
     for (std::uint32_t u = 0; u < _map.unitCount(); ++u) {
         PhysAddr a = _map.slotAddr(sb, u);
         Wear &w = wearOf(a.channel, physicalBlock(sb, u));
         if (w.pe + 1 >= w.limit)
             failing->push_back(u);
     }
-    (void)g;
 
     // Merge escalated media faults queued against this superblock:
     // those units fail this cycle regardless of wear.
@@ -373,7 +371,7 @@ DynamicSuperblockEngine::killSuperblock(std::uint32_t sb)
     // valid page to a fresh superblock, then retires this one.
     std::uint32_t dst = _map.superblockCount();
     for (std::uint32_t s = 0; s < _map.superblockCount(); ++s) {
-        if (_map.info(s).state == SuperblockState::Free) {
+        if (_map.state(s) == SuperblockState::Free) {
             dst = s;
             break;
         }

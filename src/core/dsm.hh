@@ -88,8 +88,9 @@ class DynamicSuperblockEngine : public FaultSink
     /**
      * @param ssd A decoupled-architecture SSD (needs the controllers'
      *        SRT/RBT and global copyback).
-     * @param map Superblock mapping created with zero over-provision
-     *        (the engine assigns identity LPN ranges per superblock).
+     * @param map Superblock lifecycle table over the SSD's geometry;
+     *        the engine fills, erases, retires and reserves its
+     *        superblocks.
      */
     DynamicSuperblockEngine(Ssd &ssd, SuperblockMapping &map,
                             const DsmParams &params);

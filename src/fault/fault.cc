@@ -12,36 +12,6 @@
 namespace dssd
 {
 
-const char *
-readSeverityName(ReadSeverity s)
-{
-    switch (s) {
-      case ReadSeverity::Clean:
-        return "clean";
-      case ReadSeverity::Retry:
-        return "retry";
-      case ReadSeverity::Soft:
-        return "soft";
-      case ReadSeverity::Uncorrectable:
-        return "uncorrectable";
-    }
-    return "?";
-}
-
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::UncorrectableRead:
-        return "uncorrectable-read";
-      case FaultKind::ProgramFail:
-        return "program-fail";
-      case FaultKind::EraseFail:
-        return "erase-fail";
-    }
-    return "?";
-}
-
 FaultModel::FaultModel(const FlashGeometry &geom, const FaultParams &params)
     : _geom(geom), _params(params),
       _nocRng(params.seed * 0x9e3779b97f4a7c15ULL + 0xda3e39cb94b95bdbULL)

@@ -55,8 +55,6 @@ enum class ReadSeverity : int
     Uncorrectable = 3, ///< unrecoverable at this engine
 };
 
-const char *readSeverityName(ReadSeverity s);
-
 /** Terminal media failure classes escalated to the block-fault sink. */
 enum class FaultKind : int
 {
@@ -64,8 +62,6 @@ enum class FaultKind : int
     ProgramFail = 1,
     EraseFail = 2,
 };
-
-const char *faultKindName(FaultKind k);
 
 /** A sampled read outcome: severity plus the retry rounds consumed. */
 struct ReadOutcome

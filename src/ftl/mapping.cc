@@ -81,17 +81,6 @@ PageMapping::translate(Lpn lpn) const
     return p;
 }
 
-std::optional<Lpn>
-PageMapping::reverseLookup(Ppn ppn) const
-{
-    if (ppn >= _p2l.size())
-        panic("PPN %llu out of range", (unsigned long long)ppn);
-    Lpn l = _p2l[ppn];
-    if (l == invalidLpn)
-        return std::nullopt;
-    return l;
-}
-
 bool
 PageMapping::victimEligible(std::uint32_t unit,
                             std::uint32_t block) const

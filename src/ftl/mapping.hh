@@ -112,9 +112,6 @@ class PageMapping
     /** Current physical location of @p lpn, if mapped. */
     std::optional<Ppn> translate(Lpn lpn) const;
 
-    /** LPN stored at @p ppn, if any. */
-    std::optional<Lpn> reverseLookup(Ppn ppn) const;
-
     /**
      * Allocate a physical page for a (re)write of @p lpn, invalidating
      * any previous location. Stripes across units round-robin.

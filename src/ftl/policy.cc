@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ftl/mapping.hh"
-#include "ftl/superblock.hh"
 #include "sim/log.hh"
 #include "sim/registry.hh"
 
@@ -39,25 +38,6 @@ class GreedyVictim : public VictimPolicy
         }
         return std::nullopt;
     }
-
-    std::optional<std::uint32_t>
-    pickVictim(const SuperblockMapping &map) override
-    {
-        std::optional<std::uint32_t> best;
-        std::uint32_t best_valid = map.pagesPerSuperblock();
-        for (std::uint32_t sb = 0; sb < map.superblockCount(); ++sb) {
-            const SuperblockInfo &i = map.info(sb);
-            if (i.state != SuperblockState::Full)
-                continue;
-            if (i.validCount >= best_valid)
-                continue;
-            best = sb;
-            best_valid = i.validCount;
-        }
-        if (best && best_valid == map.pagesPerSuperblock())
-            return std::nullopt;
-        return best;
-    }
 };
 
 /**
@@ -92,28 +72,6 @@ class CostBenefitVictim : public VictimPolicy
                     best = b;
                     best_score = score;
                 }
-            }
-        }
-        return best;
-    }
-
-    std::optional<std::uint32_t>
-    pickVictim(const SuperblockMapping &map) override
-    {
-        std::uint32_t full = map.pagesPerSuperblock();
-        std::optional<std::uint32_t> best;
-        double best_score = 0.0;
-        for (std::uint32_t sb = 0; sb < map.superblockCount(); ++sb) {
-            const SuperblockInfo &i = map.info(sb);
-            if (i.state != SuperblockState::Full)
-                continue;
-            if (i.validCount >= full)
-                continue;
-            double score = score_(map.allocSeq(), i.lastWriteSeq,
-                                  i.validCount, full);
-            if (!best || score > best_score) {
-                best = sb;
-                best_score = score;
             }
         }
         return best;
@@ -172,32 +130,6 @@ class WindowedGreedyVictim : public VictimPolicy
                 break;
             if (v < best_valid) {
                 best = b;
-                best_valid = v;
-                if (considered > _window)
-                    break;
-            }
-        }
-        if (best && best_valid == full)
-            return std::nullopt;
-        return best;
-    }
-
-    std::optional<std::uint32_t>
-    pickVictim(const SuperblockMapping &map) override
-    {
-        std::uint32_t full = map.pagesPerSuperblock();
-        std::optional<std::uint32_t> best;
-        std::uint32_t best_valid = full;
-        std::uint32_t considered = 0;
-        for (std::uint32_t sb : map.fullOrder()) {
-            if (map.info(sb).state != SuperblockState::Full)
-                continue;
-            ++considered;
-            std::uint32_t v = map.info(sb).validCount;
-            if (considered > _window && best_valid < full)
-                break;
-            if (v < best_valid) {
-                best = sb;
                 best_valid = v;
                 if (considered > _window)
                     break;

@@ -18,17 +18,17 @@
  *  2. VictimPolicy / AllocPolicy — *which block to collect* and
  *     *where host writes land*, modeled as interchangeable strategy
  *     objects behind a string-keyed factory (the EagleTree
- *     Garbage_Collector shape). PageMapping and SuperblockMapping own
- *     one instance each and delegate their pickVictim/allocate
- *     decisions to it; the default pair ("greedy" / "rr") reproduces
- *     the historical hard-coded behavior bit-identically.
+ *     Garbage_Collector shape). PageMapping owns one instance of
+ *     each and delegates its pickVictim/allocate decisions to them;
+ *     the default pair ("greedy" / "rr") reproduces the historical
+ *     hard-coded behavior bit-identically.
  *
  * Ownership/layering: policies are pure-state strategy objects owned
- * by the ftl mapping layers. They may read mapping state through the
- * public PageMapping/SuperblockMapping API but never simulate time;
- * anything they need from upper layers (e.g. whether a unit's GC
- * round is active, known only to core/gc) is injected into the
- * mapping as a probe callback, mirroring the FlushEngine pattern.
+ * by the ftl mapping layer. They may read mapping state through the
+ * public PageMapping API but never simulate time; anything they need
+ * from upper layers (e.g. whether a unit's GC round is active, known
+ * only to core/gc) is injected into the mapping as a probe callback,
+ * mirroring the FlushEngine pattern.
  */
 
 #ifndef DSSD_FTL_POLICY_HH
@@ -46,7 +46,6 @@ namespace dssd
 {
 
 class PageMapping;
-class SuperblockMapping;
 class StatRegistry;
 
 /** GC scheduling policy. */
@@ -134,10 +133,10 @@ struct VictimIndex
 };
 
 /**
- * Victim-selection strategy: which block (or superblock) to collect
- * next. Implementations must be deterministic pure functions of the
- * mapping state (plus their own state), with a documented tie-break,
- * so figure outputs stay byte-identical across runs, rebuilds and
+ * Victim-selection strategy: which block to collect next.
+ * Implementations must be deterministic pure functions of the mapping
+ * state (plus their own state), with a documented tie-break, so
+ * figure outputs stay byte-identical across runs, rebuilds and
  * engine-thread counts.
  */
 class VictimPolicy
@@ -154,10 +153,6 @@ class VictimPolicy
      */
     virtual std::optional<std::uint32_t>
     pickVictim(const PageMapping &map, std::uint32_t unit) = 0;
-
-    /** Superblock-granularity pick over Full superblocks. */
-    virtual std::optional<std::uint32_t>
-    pickVictim(const SuperblockMapping &map) = 0;
 
     /** Register policy-specific counters under @p prefix. */
     virtual void

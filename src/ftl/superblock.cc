@@ -1,55 +1,18 @@
 #include "ftl/superblock.hh"
 
-#include <algorithm>
-
 #include "sim/audit.hh"
 #include "sim/log.hh"
 
 namespace dssd
 {
 
-SuperblockMapping::SuperblockMapping(const FlashGeometry &geom,
-                                     double over_provision,
-                                     const std::string &victim_policy,
-                                     std::uint32_t victim_window)
+SuperblockMapping::SuperblockMapping(const FlashGeometry &geom)
     : _geom(geom)
 {
     _geom.validate();
-    if (over_provision < 0.0 || over_provision >= 1.0)
-        fatal("over-provision ratio must be in [0, 1)");
-
     _unitCount = _geom.channels * _geom.ways * _geom.diesPerWay *
                  _geom.planesPerDie;
-    _pagesPerSb = _unitCount * _geom.pagesPerBlock;
-    _lpnCount = static_cast<Lpn>(
-        static_cast<double>(_geom.totalPages()) * (1.0 - over_provision));
-
     _sbs.resize(_geom.blocksPerPlane);
-    for (auto &sb : _sbs)
-        sb.valid.assign(_pagesPerSb, false);
-    for (std::uint32_t s = 0; s < _geom.blocksPerPlane; ++s)
-        _freeList.push_back(s);
-
-    _l2p.assign(_lpnCount, invalidPpn);
-    _p2l.assign(static_cast<std::size_t>(_geom.blocksPerPlane) *
-                    _pagesPerSb,
-                invalidLpn);
-
-    PolicyConfig pc;
-    pc.victimWindow = victim_window;
-    _victim = makeVictimPolicy(victim_policy, pc);
-}
-
-SuperblockMapping::~SuperblockMapping() = default;
-
-std::uint32_t
-SuperblockMapping::stripeSlotOf(const PhysAddr &a) const
-{
-    std::uint32_t unit =
-        ((a.channel * _geom.ways + a.way) * _geom.diesPerWay + a.die) *
-            _geom.planesPerDie +
-        a.plane;
-    return a.page * _unitCount + unit;
 }
 
 PhysAddr
@@ -68,384 +31,69 @@ SuperblockMapping::slotAddr(std::uint32_t sb, std::uint32_t slot) const
     return a;
 }
 
-std::optional<PhysAddr>
-SuperblockMapping::translate(Lpn lpn) const
-{
-    if (lpn >= _lpnCount)
-        panic("LPN %llu out of range", (unsigned long long)lpn);
-    Ppn p = _l2p[lpn];
-    if (p == invalidPpn)
-        return std::nullopt;
-    return slotAddr(static_cast<std::uint32_t>(p / _pagesPerSb),
-                    static_cast<std::uint32_t>(p % _pagesPerSb));
-}
-
 void
-SuperblockMapping::openActive()
+SuperblockMapping::fillAll(std::uint32_t sb)
 {
-    if (_freeList.empty())
-        panic("no free superblock to open");
-    _active = _freeList.front();
-    _freeList.pop_front();
-    _hasActive = true;
-    SuperblockInfo &sb = _sbs[_active];
-    sb.state = SuperblockState::Active;
-    sb.writePtr = 0;
-}
-
-PhysAddr
-SuperblockMapping::allocate(Lpn lpn)
-{
-    if (lpn >= _lpnCount)
-        panic("LPN %llu out of range", (unsigned long long)lpn);
-    if (!_hasActive)
-        openActive();
-
-    SuperblockInfo &sb = _sbs[_active];
-    std::uint32_t slot = sb.writePtr++;
-    std::uint32_t sbid = _active;
-    sb.lastWriteSeq = ++_allocSeq;
-    if (sb.writePtr == _pagesPerSb) {
-        sb.state = SuperblockState::Full;
-        _hasActive = false;
-        _fullOrder.push_back(sbid);
-    }
-
-    invalidate(lpn);
-    Ppn p = static_cast<Ppn>(sbid) * _pagesPerSb + slot;
-    _l2p[lpn] = p;
-    _p2l[p] = lpn;
-    _sbs[sbid].valid[slot] = true;
-    ++_sbs[sbid].validCount;
-    ++_validPages;
-    ++_hostWrites;
-    return slotAddr(sbid, slot);
-}
-
-void
-SuperblockMapping::invalidate(Lpn lpn)
-{
-    if (lpn >= _lpnCount)
-        panic("LPN %llu out of range", (unsigned long long)lpn);
-    Ppn old = _l2p[lpn];
-    if (old == invalidPpn)
-        return;
-    std::uint32_t sbid = static_cast<std::uint32_t>(old / _pagesPerSb);
-    std::uint32_t slot = static_cast<std::uint32_t>(old % _pagesPerSb);
-    SuperblockInfo &sb = _sbs[sbid];
-    if (!sb.valid[slot])
-        panic("invalidate of already-invalid slot");
-    sb.valid[slot] = false;
-    --sb.validCount;
-    --_validPages;
-    _p2l[old] = invalidLpn;
-    _l2p[lpn] = invalidPpn;
-}
-
-std::optional<std::uint32_t>
-SuperblockMapping::pickVictim()
-{
-    return _victim->pickVictim(*this);
-}
-
-std::vector<Lpn>
-SuperblockMapping::validLpns(std::uint32_t sb) const
-{
-    const SuperblockInfo &info = _sbs[sb];
-    std::vector<Lpn> out;
-    out.reserve(info.validCount);
-    Ppn base = static_cast<Ppn>(sb) * _pagesPerSb;
-    for (std::uint32_t slot = 0; slot < _pagesPerSb; ++slot) {
-        if (info.valid[slot])
-            out.push_back(_p2l[base + slot]);
-    }
-    return out;
-}
-
-std::vector<Lpn>
-SuperblockMapping::validLpnsOnChannel(std::uint32_t sb,
-                                      std::uint32_t channel) const
-{
-    const SuperblockInfo &info = _sbs[sb];
-    std::vector<Lpn> out;
-    Ppn base = static_cast<Ppn>(sb) * _pagesPerSb;
-    for (std::uint32_t slot = 0; slot < _pagesPerSb; ++slot) {
-        if (!info.valid[slot])
-            continue;
-        if (slotAddr(sb, slot).channel == channel)
-            out.push_back(_p2l[base + slot]);
-    }
-    return out;
-}
-
-void
-SuperblockMapping::eraseSuperblock(std::uint32_t sb)
-{
-    SuperblockInfo &info = _sbs[sb];
-    if (info.validCount != 0)
-        panic("erase of superblock with %u valid pages",
-              info.validCount);
-    if (info.state == SuperblockState::Dead)
-        panic("erase of dead superblock");
-    if (info.state == SuperblockState::Free)
-        panic("erase of free superblock");
-    if (_hasActive && sb == _active)
-        panic("erase of the active superblock");
-    std::fill(info.valid.begin(), info.valid.end(), false);
-    info.writePtr = 0;
-    ++info.eraseCount;
-    ++_erases;
-    info.state = SuperblockState::Free;
-    fullOrderRemove(sb);
-    _freeList.push_back(sb);
-}
-
-void
-SuperblockMapping::fullOrderRemove(std::uint32_t sb)
-{
-    auto it = std::find(_fullOrder.begin(), _fullOrder.end(), sb);
-    if (it != _fullOrder.end())
-        _fullOrder.erase(it);
-}
-
-void
-SuperblockMapping::retireSuperblock(std::uint32_t sb)
-{
-    SuperblockInfo &info = _sbs[sb];
-    // Idempotent: concurrent failure paths (wear check + fault
-    // escalation) may both retire the same superblock; counting it
-    // dead twice would corrupt the capacity accounting.
-    if (info.state == SuperblockState::Dead)
-        return;
-    if (info.validCount != 0)
-        panic("retire of superblock still holding %u valid pages",
-              info.validCount);
-    if (info.state == SuperblockState::Free) {
-        auto it = std::find(_freeList.begin(), _freeList.end(), sb);
-        if (it != _freeList.end())
-            _freeList.erase(it);
-    }
-    if (_hasActive && sb == _active)
-        _hasActive = false;
-    info.state = SuperblockState::Dead;
-    fullOrderRemove(sb);
-    ++_dead;
-}
-
-void
-SuperblockMapping::reserveSuperblock(std::uint32_t sb)
-{
-    SuperblockInfo &info = _sbs[sb];
-    if (info.state != SuperblockState::Free)
-        panic("only free superblocks can be reserved");
-    auto it = std::find(_freeList.begin(), _freeList.end(), sb);
-    if (it == _freeList.end())
-        panic("reserved superblock missing from free list");
-    _freeList.erase(it);
-    info.state = SuperblockState::Reserved;
-    ++_reserved;
-}
-
-void
-SuperblockMapping::fillAll(std::uint32_t sb, Lpn base)
-{
-    SuperblockInfo &info = _sbs[sb];
-    if (info.state != SuperblockState::Free)
-        panic("fillAll needs a free superblock");
-    if (base + _pagesPerSb > _lpnCount)
-        panic("fillAll LPN range out of bounds");
-    auto it = std::find(_freeList.begin(), _freeList.end(), sb);
-    if (it == _freeList.end())
-        panic("free superblock missing from free list");
-    _freeList.erase(it);
-
-    Ppn p_base = static_cast<Ppn>(sb) * _pagesPerSb;
-    for (std::uint32_t slot = 0; slot < _pagesPerSb; ++slot) {
-        Lpn lpn = base + slot;
-        invalidate(lpn);
-        _l2p[lpn] = p_base + slot;
-        _p2l[p_base + slot] = lpn;
-        info.valid[slot] = true;
-    }
-    info.validCount = _pagesPerSb;
-    info.writePtr = _pagesPerSb;
-    _allocSeq += _pagesPerSb;
-    info.lastWriteSeq = _allocSeq;
-    info.state = SuperblockState::Full;
-    _fullOrder.push_back(sb);
-    _validPages += _pagesPerSb;
-    _hostWrites += _pagesPerSb;
+    Entry &e = _sbs[sb];
+    if (e.state != SuperblockState::Free)
+        panic("fillAll needs a free superblock, %u is not", sb);
+    e.state = SuperblockState::Full;
+    e.holdsData = true;
 }
 
 void
 SuperblockMapping::invalidateAll(std::uint32_t sb)
 {
-    SuperblockInfo &info = _sbs[sb];
-    Ppn base = static_cast<Ppn>(sb) * _pagesPerSb;
-    for (std::uint32_t slot = 0; slot < _pagesPerSb; ++slot) {
-        if (!info.valid[slot])
-            continue;
-        Lpn lpn = _p2l[base + slot];
-        invalidate(lpn);
-    }
+    _sbs[sb].holdsData = false;
 }
 
-const SuperblockInfo &
-SuperblockMapping::info(std::uint32_t sb) const
+void
+SuperblockMapping::eraseSuperblock(std::uint32_t sb)
 {
-    return _sbs[sb];
+    Entry &e = _sbs[sb];
+    if (e.holdsData)
+        panic("erase of superblock %u with valid pages", sb);
+    if (e.state != SuperblockState::Full)
+        panic("erase of superblock %u in state %d", sb,
+              static_cast<int>(e.state));
+    e.state = SuperblockState::Free;
+}
+
+void
+SuperblockMapping::retireSuperblock(std::uint32_t sb)
+{
+    Entry &e = _sbs[sb];
+    if (e.holdsData)
+        panic("retire of superblock %u still holding valid pages", sb);
+    e.state = SuperblockState::Dead;
+}
+
+void
+SuperblockMapping::reserveSuperblock(std::uint32_t sb)
+{
+    Entry &e = _sbs[sb];
+    if (e.state != SuperblockState::Free)
+        panic("only free superblocks can be reserved");
+    e.state = SuperblockState::Reserved;
+}
+
+std::uint32_t
+SuperblockMapping::countIn(SuperblockState s) const
+{
+    std::uint32_t n = 0;
+    for (const Entry &e : _sbs)
+        n += e.state == s;
+    return n;
 }
 
 void
 SuperblockMapping::audit(AuditReport &r) const
 {
-    // L2P -> P2L bijectivity.
-    for (Lpn l = 0; l < _lpnCount; ++l) {
-        Ppn p = _l2p[l];
-        if (p == invalidPpn)
-            continue;
-        if (p >= _p2l.size()) {
-            r.fail("L2P bijectivity: L2P[lpn %llu] = slot %llu out of "
-                   "range (%zu slots)",
-                   static_cast<unsigned long long>(l),
-                   static_cast<unsigned long long>(p), _p2l.size());
-            continue;
-        }
-        if (_p2l[p] != l) {
-            r.fail("L2P bijectivity: L2P[lpn %llu] = slot %llu but "
-                   "P2L[slot] = lpn %llu",
-                   static_cast<unsigned long long>(l),
-                   static_cast<unsigned long long>(p),
-                   static_cast<unsigned long long>(_p2l[p]));
-        }
-    }
-    for (Ppn p = 0; p < _p2l.size(); ++p) {
-        Lpn l = _p2l[p];
-        if (l == invalidLpn)
-            continue;
-        if (l >= _lpnCount || _l2p[l] != p) {
-            r.fail("P2L bijectivity: P2L[slot %llu] = lpn %llu but "
-                   "L2P[lpn] = slot %llu",
-                   static_cast<unsigned long long>(p),
-                   static_cast<unsigned long long>(l),
-                   static_cast<unsigned long long>(
-                       l < _lpnCount ? _l2p[l] : invalidPpn));
-        }
-    }
-
-    // Per-superblock counters, state legality and global totals.
-    std::uint64_t valid_total = 0;
-    std::uint32_t dead = 0;
-    std::uint32_t reserved = 0;
-    std::vector<bool> on_free_list(_sbs.size(), false);
-    for (std::uint32_t s : _freeList) {
-        if (s >= _sbs.size()) {
-            r.fail("free-list entry %u out of range", s);
-            continue;
-        }
-        if (on_free_list[s])
-            r.fail("superblock %u on the free list twice", s);
-        on_free_list[s] = true;
-    }
     for (std::uint32_t s = 0; s < _sbs.size(); ++s) {
-        const SuperblockInfo &sb = _sbs[s];
-        std::uint32_t count = 0;
-        Ppn base = static_cast<Ppn>(s) * _pagesPerSb;
-        for (std::uint32_t slot = 0; slot < _pagesPerSb; ++slot) {
-            if (!sb.valid[slot])
-                continue;
-            ++count;
-            if (slot >= sb.writePtr) {
-                r.fail("superblock %u: slot %u valid beyond write "
-                       "pointer %u",
-                       s, slot, sb.writePtr);
-            }
-            if (_p2l[base + slot] == invalidLpn) {
-                r.fail("superblock %u: slot %u valid but has no "
-                       "reverse mapping",
-                       s, slot);
-            }
-        }
-        if (count != sb.validCount) {
-            r.fail("superblock %u: validCount %u != %u valid bits", s,
-                   sb.validCount, count);
-        }
-        valid_total += sb.validCount;
-        if (sb.writePtr > _pagesPerSb) {
-            r.fail("superblock %u: write pointer %u beyond capacity %u",
-                   s, sb.writePtr, _pagesPerSb);
-        }
-
-        bool expect_free = sb.state == SuperblockState::Free;
-        if (on_free_list[s] != expect_free) {
-            r.fail("superblock %u: state %d %s the free list", s,
-                   static_cast<int>(sb.state),
-                   on_free_list[s] ? "but on" : "but missing from");
-        }
-        switch (sb.state) {
-          case SuperblockState::Free:
-            if (sb.validCount != 0 || sb.writePtr != 0) {
-                r.fail("superblock %u: Free with %u valid pages, "
-                       "write pointer %u",
-                       s, sb.validCount, sb.writePtr);
-            }
-            break;
-          case SuperblockState::Active:
-            if (!_hasActive || _active != s) {
-                r.fail("superblock %u: Active but the mapping's "
-                       "active superblock is %u",
-                       s, _hasActive ? _active : ~0u);
-            }
-            break;
-          case SuperblockState::Full:
-            break;
-          case SuperblockState::Dead:
-            ++dead;
-            if (sb.validCount != 0)
-                r.fail("superblock %u: Dead with %u valid pages", s,
-                       sb.validCount);
-            break;
-          case SuperblockState::Reserved:
-            ++reserved;
-            if (sb.validCount != 0)
-                r.fail("superblock %u: Reserved with %u valid pages",
-                       s, sb.validCount);
-            break;
-        }
-    }
-    if (_hasActive &&
-        (_active >= _sbs.size() ||
-         _sbs[_active].state != SuperblockState::Active)) {
-        r.fail("active superblock %u is not in the Active state",
-               _active);
-    }
-    if (dead != _dead)
-        r.fail("dead total %u != %u counted superblocks", _dead, dead);
-    if (reserved != _reserved) {
-        r.fail("reserved total %u != %u counted superblocks", _reserved,
-               reserved);
-    }
-    if (valid_total != _validPages) {
-        r.fail("valid-page total %llu != %llu summed over superblocks",
-               static_cast<unsigned long long>(_validPages),
-               static_cast<unsigned long long>(valid_total));
-    }
-
-    // Fill-order list: exactly the Full superblocks, each once.
-    std::vector<std::uint32_t> order_seen(_sbs.size(), 0);
-    for (std::uint32_t s : _fullOrder) {
-        if (s >= _sbs.size()) {
-            r.fail("fill-order entry %u out of range", s);
-            continue;
-        }
-        ++order_seen[s];
-    }
-    for (std::uint32_t s = 0; s < _sbs.size(); ++s) {
-        std::uint32_t expect =
-            _sbs[s].state == SuperblockState::Full ? 1 : 0;
-        if (order_seen[s] != expect) {
-            r.fail("superblock %u: state %d but %u fill-order entries",
-                   s, static_cast<int>(_sbs[s].state), order_seen[s]);
+        const Entry &e = _sbs[s];
+        if (e.holdsData && e.state != SuperblockState::Full) {
+            r.fail("superblock %u: holds data in state %d", s,
+                   static_cast<int>(e.state));
         }
     }
 }

@@ -1,73 +1,50 @@
 /**
  * @file
- * Superblock-organized mapping (Sec 5, Fig 5).
+ * Superblock lifecycle table (Sec 5, Fig 5).
  *
  * A superblock groups the same block id across every parallel unit
- * (channel/way/die/plane), so one superblock-granularity allocation
+ * (channel/way/die/plane), so one superblock-granularity write
  * stripes pages across the whole array — smaller mapping tables and
  * cheap GC, at the cost of the whole group dying with its first bad
  * sub-block (the problem dynamic superblock management solves).
  *
- * Pure state, like PageMapping; the event-driven datapaths charge
- * time separately.
+ * The table tracks what the DSM engine (core/dsm) drives: each
+ * superblock is filled, invalidated and erased as a whole, or retired
+ * or reserved. Pure state, like PageMapping; the event-driven
+ * datapaths charge time separately.
  */
 
 #ifndef DSSD_FTL_SUPERBLOCK_HH
 #define DSSD_FTL_SUPERBLOCK_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "ftl/mapping.hh"
 #include "nand/geometry.hh"
 
 namespace dssd
 {
 
+class AuditReport;
+
 /** Lifecycle of one superblock. */
 enum class SuperblockState
 {
-    Free,     ///< erased, on the free list
-    Active,   ///< currently taking writes
-    Full,     ///< fully programmed
+    Free,     ///< erased, available to fillAll
+    Full,     ///< programmed by fillAll
     Dead,     ///< retired (bad)
     Reserved, ///< provisioned as recycled blocks (RESERV scheme)
 };
 
-/** Per-superblock bookkeeping. */
-struct SuperblockInfo
-{
-    SuperblockState state = SuperblockState::Free;
-    std::uint32_t writePtr = 0;    ///< next stripe slot
-    std::uint32_t validCount = 0;  ///< live pages
-    std::uint32_t eraseCount = 0;  ///< P/E cycles
-    std::vector<bool> valid;       ///< per stripe slot
-    /// Allocation sequence number of the last write into this
-    /// superblock; cost-benefit ages by allocSeq() - lastWriteSeq.
-    std::uint64_t lastWriteSeq = 0;
-};
-
-/** Superblock-granularity address mapping. */
+/** Superblock lifecycle table. */
 class SuperblockMapping
 {
   public:
     /**
      * @param geom Flash geometry; the superblock count equals
      *        blocksPerPlane.
-     * @param over_provision Fraction of capacity hidden from the host.
-     * @param victim_policy Victim-selection policy name (see
-     *        ftl/policy.hh); the default reproduces the historical
-     *        greedy scan bit-identically.
-     * @param victim_window Window size for "windowed" selection.
      */
-    SuperblockMapping(const FlashGeometry &geom, double over_provision,
-                      const std::string &victim_policy = "greedy",
-                      std::uint32_t victim_window = 8);
-    ~SuperblockMapping();
+    explicit SuperblockMapping(const FlashGeometry &geom);
 
     const FlashGeometry &geometry() const { return _geom; }
 
@@ -75,67 +52,43 @@ class SuperblockMapping
     std::uint32_t unitCount() const { return _unitCount; }
 
     /** Pages one superblock holds. */
-    std::uint32_t pagesPerSuperblock() const { return _pagesPerSb; }
+    std::uint32_t pagesPerSuperblock() const
+    {
+        return _unitCount * _geom.pagesPerBlock;
+    }
 
     std::uint32_t superblockCount() const { return _geom.blocksPerPlane; }
 
-    Lpn lpnCount() const { return _lpnCount; }
-
-    /** Current physical location of @p lpn, if mapped. */
-    std::optional<PhysAddr> translate(Lpn lpn) const;
-
     /**
-     * Allocate the next stripe slot for @p lpn in the active
-     * superblock (opening a new one as needed), invalidating any
-     * previous copy.
+     * Physical address of stripe slot @p slot of superblock @p sb:
+     * consecutive slots stripe across the units, plane fastest, then
+     * move to the next page.
      */
-    PhysAddr allocate(Lpn lpn);
-
-    /** Drop the mapping for @p lpn. */
-    void invalidate(Lpn lpn);
-
-    /** Superblock id and stripe slot of a physical address. */
-    std::uint32_t superblockOf(const PhysAddr &a) const { return a.block; }
-    std::uint32_t stripeSlotOf(const PhysAddr &a) const;
-
-    /** Physical address of stripe slot @p slot of superblock @p sb. */
     PhysAddr slotAddr(std::uint32_t sb, std::uint32_t slot) const;
 
-    /**
-     * Pick the next GC victim through the configured VictimPolicy
-     * (default "greedy": fewest valid pages among Full superblocks).
-     */
-    std::optional<std::uint32_t> pickVictim();
-
-    /** Monotonic slot-allocation sequence number. */
-    std::uint64_t allocSeq() const { return _allocSeq; }
-
-    /**
-     * Full superblocks in the order they filled (oldest first);
-     * drives windowed-greedy selection. May transiently list ids
-     * whose state has since left Full — consumers re-check state.
-     */
-    const std::deque<std::uint32_t> &fullOrder() const
+    /** Lifecycle state of superblock @p sb. */
+    SuperblockState state(std::uint32_t sb) const
     {
-        return _fullOrder;
+        return _sbs[sb].state;
     }
 
-    const VictimPolicy &victimPolicy() const { return *_victim; }
+    /** Program every page of the free superblock @p sb. */
+    void fillAll(std::uint32_t sb);
 
-    /** Valid LPNs of superblock @p sb in stripe order. */
-    std::vector<Lpn> validLpns(std::uint32_t sb) const;
-
-    /** Valid LPNs of @p sb whose stripe slot lives on @p channel. */
-    std::vector<Lpn> validLpnsOnChannel(std::uint32_t sb,
-                                        std::uint32_t channel) const;
+    /** Drop the data @p sb holds (a no-op if it holds none). */
+    void invalidateAll(std::uint32_t sb);
 
     /**
-     * Erase @p sb and return it to the free list.
-     * @pre no valid pages remain.
+     * Erase the Full superblock @p sb and return it to the free pool.
+     * @pre its data was invalidated.
      */
     void eraseSuperblock(std::uint32_t sb);
 
-    /** Retire @p sb (bad superblock); never reused. */
+    /**
+     * Retire @p sb (bad superblock); never reused. Idempotent:
+     * concurrent failure paths may retire the same superblock twice,
+     * and a dead superblock holds no data.
+     */
     void retireSuperblock(std::uint32_t sb);
 
     /**
@@ -144,70 +97,35 @@ class SuperblockMapping
      */
     void reserveSuperblock(std::uint32_t sb);
 
-    std::uint32_t reservedSuperblocks() const { return _reserved; }
-
-    /**
-     * Mark every slot of the free superblock @p sb valid, mapped to
-     * LPNs base..base+pagesPerSuperblock-1 (invalidating any previous
-     * copies). A bulk write used by wear-cycling drivers.
-     */
-    void fillAll(std::uint32_t sb, Lpn base);
-
-    /** Invalidate every valid page of @p sb. */
-    void invalidateAll(std::uint32_t sb);
-
     std::uint32_t freeSuperblocks() const
     {
-        return static_cast<std::uint32_t>(_freeList.size());
+        return countIn(SuperblockState::Free);
+    }
+    std::uint32_t deadSuperblocks() const
+    {
+        return countIn(SuperblockState::Dead);
+    }
+    std::uint32_t reservedSuperblocks() const
+    {
+        return countIn(SuperblockState::Reserved);
     }
 
-    std::uint32_t deadSuperblocks() const { return _dead; }
-
-    const SuperblockInfo &info(std::uint32_t sb) const;
-
-    std::uint64_t totalValidPages() const { return _validPages; }
-
-    std::uint64_t hostWrites() const { return _hostWrites; }
-    std::uint64_t erases() const { return _erases; }
-
-    /**
-     * Cross-check every internal invariant: L2P↔P2L bijectivity,
-     * per-superblock valid bitmaps vs counters, state legality
-     * (Free/Active/Full/Dead/Reserved) against the free list and the
-     * dead/reserved totals. See sim/audit.hh.
-     */
+    /** Check that only Full superblocks hold data. See sim/audit.hh. */
     void audit(AuditReport &report) const;
 
-    /**
-     * Fault-injection hook for auditor tests ONLY: overwrite the L2P
-     * entry of @p lpn with @p ppn, bypassing all bookkeeping.
-     */
-    void debugCorruptL2p(Lpn lpn, Ppn ppn) { _l2p.at(lpn) = ppn; }
-
   private:
-    void openActive();
-    /** Drop @p sb from the fill-order list (erase/retire). */
-    void fullOrderRemove(std::uint32_t sb);
+    /** Superblocks in state @p s. */
+    std::uint32_t countIn(SuperblockState s) const;
+
+    struct Entry
+    {
+        SuperblockState state = SuperblockState::Free;
+        bool holdsData = false;
+    };
 
     FlashGeometry _geom;
-    std::uint32_t _unitCount;
-    std::uint32_t _pagesPerSb;
-    Lpn _lpnCount;
-    std::vector<SuperblockInfo> _sbs;
-    std::vector<Ppn> _l2p;   ///< lpn -> sb * pagesPerSb + slot
-    std::vector<Lpn> _p2l;
-    std::deque<std::uint32_t> _freeList;
-    /// Full superblocks in fill-chronological order (see fullOrder()).
-    std::deque<std::uint32_t> _fullOrder;
-    std::unique_ptr<VictimPolicy> _victim;
-    std::uint64_t _allocSeq = 0;
-    std::uint32_t _active = 0;
-    bool _hasActive = false;
-    std::uint32_t _dead = 0;
-    std::uint32_t _reserved = 0;
-    std::uint64_t _validPages = 0;
-    std::uint64_t _hostWrites = 0;
-    std::uint64_t _erases = 0;
+    std::uint32_t _unitCount = 0;
+    std::vector<Entry> _sbs;
 };
 
 } // namespace dssd

@@ -42,14 +42,6 @@ FlashDie::FlashDie(Engine &engine, const FlashGeometry &geom,
 }
 
 Tick
-FlashDie::planeBusyUntil(std::uint32_t plane) const
-{
-    if (plane >= _planeBusyUntil.size())
-        panic("plane %u out of range", plane);
-    return _planeBusyUntil[plane];
-}
-
-Tick
 FlashDie::planesBusyUntil(std::uint32_t plane_mask) const
 {
     Tick latest = 0;

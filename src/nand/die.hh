@@ -67,9 +67,6 @@ class FlashDie
     Tick reserve(NandOp op, std::uint32_t plane_mask,
                  std::uint32_t page_in_block, Tick earliest);
 
-    /** Earliest tick at which @p plane is free. */
-    Tick planeBusyUntil(std::uint32_t plane) const;
-
     /** Earliest tick at which all planes in @p plane_mask are free. */
     Tick planesBusyUntil(std::uint32_t plane_mask) const;
 

@@ -291,14 +291,6 @@ NocNetwork::linkBusyTicks(unsigned link) const
 }
 
 void
-NocNetwork::setLinkBandwidth(BytesPerTick bw)
-{
-    _params.linkBandwidth = bw;
-    for (auto &l : _links)
-        l->setBandwidth(bw);
-}
-
-void
 NocNetwork::audit(AuditReport &r) const
 {
     // Packet conservation: every injected packet is either still in

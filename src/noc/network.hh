@@ -101,9 +101,6 @@ class NocNetwork : public Interconnect
     /** Per-link busy ticks, for utilization reporting. */
     Tick linkBusyTicks(unsigned link) const;
 
-    /** Change every link's bandwidth (used by the Fig 12 sweeps). */
-    void setLinkBandwidth(BytesPerTick bw);
-
     /**
      * Cross-check flit/credit conservation: injected packets equal
      * delivered plus in-flight, input-buffer credit counts never

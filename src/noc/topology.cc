@@ -7,25 +7,6 @@
 namespace dssd
 {
 
-double
-Topology::averageHops() const
-{
-    unsigned n = numNodes();
-    if (n < 2)
-        return 0.0;
-    std::uint64_t hops = 0;
-    std::uint64_t pairs = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        for (unsigned d = 0; d < n; ++d) {
-            if (s == d)
-                continue;
-            hops += route(s, d).size();
-            ++pairs;
-        }
-    }
-    return static_cast<double>(hops) / static_cast<double>(pairs);
-}
-
 //
 // Mesh1D
 //

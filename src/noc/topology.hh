@@ -67,9 +67,6 @@ class Topology
         (void)link_id;
         return false;
     }
-
-    /** Average hop count over all src!=dst pairs. */
-    double averageHops() const;
 };
 
 /**

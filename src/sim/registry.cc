@@ -1,6 +1,7 @@
 #include "sim/registry.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "sim/log.hh"
@@ -135,42 +136,6 @@ StatRegistry::paths() const
     for (std::size_t i : sortedIndex())
         out.push_back(_entries[i].path);
     return out;
-}
-
-void
-StatRegistry::dumpText(std::FILE *out) const
-{
-    std::size_t width = 0;
-    for (const auto &e : _entries)
-        width = std::max(width, e.path.size());
-    for (std::size_t i : sortedIndex()) {
-        const Entry &e = _entries[i];
-        std::fprintf(out, "%-*s = ", static_cast<int>(width),
-                     e.path.c_str());
-        switch (e.kind) {
-          case Kind::CounterStat:
-            std::fprintf(out, "%llu\n",
-                         static_cast<unsigned long long>(
-                             e.counter->value()));
-            break;
-          case Kind::Sample:
-            std::fprintf(out,
-                         "count=%llu mean=%.3f p50=%.3f p99=%.3f "
-                         "max=%.3f\n",
-                         static_cast<unsigned long long>(
-                             e.sample->count()),
-                         e.sample->mean(), e.sample->percentile(50.0),
-                         e.sample->percentile(99.0), e.sample->max());
-            break;
-          case Kind::Rate:
-            std::fprintf(out, "total=%.3f windows=%zu\n",
-                         e.rate->total(), e.rate->windows().size());
-            break;
-          case Kind::Scalar:
-            std::fprintf(out, "%s\n", jsonNumber(e.scalar()).c_str());
-            break;
-        }
-    }
 }
 
 std::string

@@ -17,7 +17,6 @@
 #ifndef DSSD_SIM_REGISTRY_HH
 #define DSSD_SIM_REGISTRY_HH
 
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -56,9 +55,6 @@ class StatRegistry
 
     /** All registered paths, sorted. */
     std::vector<std::string> paths() const;
-
-    /** Aligned "path = value" table, sorted by path. */
-    void dumpText(std::FILE *out) const;
 
     /** The JSON document written by writeJson(). */
     std::string json() const;

@@ -100,15 +100,6 @@ UtilizationRecorder::busyFraction(int tag, Tick from, Tick to) const
     return static_cast<double>(busy) / static_cast<double>(to - from);
 }
 
-std::size_t
-UtilizationRecorder::numWindows() const
-{
-    std::size_t n = 0;
-    for (const auto &v : _busy)
-        n = std::max(n, v.size());
-    return n;
-}
-
 //
 // BandwidthResource
 //
@@ -181,15 +172,6 @@ BandwidthResource::transfer(std::uint64_t bytes, int tag, Callback done)
     Tick end = reserve(bytes, tag);
     _engine.scheduleAbs(end, std::move(done));
     return end;
-}
-
-void
-BandwidthResource::setBandwidth(BytesPerTick bw)
-{
-    if (bw <= 0.0)
-        fatal("BandwidthResource %s: bandwidth must be positive",
-              _name.c_str());
-    _bandwidth = bw;
 }
 
 Tick

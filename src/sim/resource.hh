@@ -71,13 +71,14 @@ class UtilizationRecorder
     /** Busy fraction per window for @p tag. */
     std::vector<double> series(int tag) const;
 
-    /** Busy fraction over [from, to) for @p tag. */
+    /**
+     * Busy fraction over [from, to) for @p tag. Sums every window
+     * that overlaps [from, to), so @p from and @p to must fall on
+     * window boundaries, or no busy time may follow @p to.
+     */
     double busyFraction(int tag, Tick from, Tick to) const;
 
     Tick window() const { return _window; }
-
-    /** Number of windows with any recorded activity. */
-    std::size_t numWindows() const;
 
   private:
     void ensureWindows(std::size_t count);
@@ -133,7 +134,6 @@ class BandwidthResource
     /** Queueing delay a transfer issued now would see before starting. */
     Tick queueDelay() const;
 
-    void setBandwidth(BytesPerTick bw);
     BytesPerTick bandwidth() const { return _bandwidth; }
 
     /** Attach a windowed utilization recorder (not owned). */

@@ -85,29 +85,6 @@ SampleStat::percentile(double p) const
     return *nth;
 }
 
-double
-SampleStat::stddev() const
-{
-    if (_samples.size() < 2)
-        return 0.0;
-    double m = mean();
-    double acc = 0.0;
-    for (double v : _samples)
-        acc += (v - m) * (v - m);
-    return std::sqrt(acc / static_cast<double>(_samples.size()));
-}
-
-void
-SampleStat::reset()
-{
-    _samples.clear();
-    _scratch.clear();
-    _scratchValid = false;
-    _sum = 0.0;
-    _min = 0.0;
-    _max = 0.0;
-}
-
 //
 // RateSeries
 //

@@ -67,10 +67,6 @@ class SampleStat
      */
     double percentile(double p) const;
 
-    /** Population standard deviation. */
-    double stddev() const;
-
-    void reset();
     const std::string &name() const { return _name; }
     const std::vector<double> &samples() const { return _samples; }
 
@@ -104,7 +100,12 @@ class RateSeries
     /** Rate per window in weight-units per second. */
     std::vector<double> ratePerSec() const;
 
-    /** Total weight over [from, to) divided by the interval in seconds. */
+    /**
+     * Total weight over [from, to) divided by the interval in seconds.
+     * Sums every window that overlaps [from, to), so @p from and
+     * @p to must fall on window boundaries, or nothing may be added
+     * after @p to.
+     */
     double averageRate(Tick from, Tick to) const;
 
     double total() const { return _total; }

@@ -37,7 +37,7 @@ struct Rig
     Engine engine;
     SsdConfig cfg = dsmSsdConfig();
     Ssd ssd{engine, cfg};
-    SuperblockMapping map{cfg.geom, 0.0};
+    SuperblockMapping map{cfg.geom};
 };
 
 TEST(DsmTest, StaticSchemeDiesOnFirstFailure)
@@ -156,7 +156,7 @@ TEST(DsmDeathTest, RecycledNeedsDecoupledArch)
     SsdConfig c = dsmSsdConfig();
     c.arch = ArchKind::Baseline;
     Ssd ssd(e, c);
-    SuperblockMapping map(c.geom, 0.0);
+    SuperblockMapping map(c.geom);
     EXPECT_DEATH(DynamicSuperblockEngine(ssd, map,
                                          dsmParams(DsmScheme::Recycled)),
                  "decoupled");

@@ -453,18 +453,18 @@ TEST(CopybackFaultTest, CleanCopybackIsUntouchedByAnIdleFaultModel)
 TEST(SuperblockTest, RetireSuperblockIsIdempotent)
 {
     FlashGeometry g = smallGeom();
-    SuperblockMapping map(g, 0.0);
+    SuperblockMapping map(g);
     std::uint32_t free0 = map.freeSuperblocks();
     map.retireSuperblock(2);
     EXPECT_EQ(map.deadSuperblocks(), 1u);
-    EXPECT_EQ(map.info(2).state, SuperblockState::Dead);
+    EXPECT_EQ(map.state(2), SuperblockState::Dead);
     EXPECT_EQ(map.freeSuperblocks(), free0 - 1);
     // A second retirement (e.g. a fault escalating on a block of an
     // already-dead group) must not double-count.
     map.retireSuperblock(2);
     EXPECT_EQ(map.deadSuperblocks(), 1u);
     EXPECT_EQ(map.freeSuperblocks(), free0 - 1);
-    EXPECT_EQ(map.info(2).state, SuperblockState::Dead);
+    EXPECT_EQ(map.state(2), SuperblockState::Dead);
 }
 
 //
@@ -626,7 +626,7 @@ TEST(DsmFaultTest, EscalatedFaultMergesIntoWearAndGetsRepaired)
     Engine engine;
     Ssd ssd(engine, c);
     ASSERT_NE(ssd.faultModel(), nullptr);
-    SuperblockMapping map(c.geom, 0.0);
+    SuperblockMapping map(c.geom);
 
     DsmParams p;
     p.scheme = DsmScheme::Recycled;

@@ -11,7 +11,6 @@
 
 #include "ftl/mapping.hh"
 #include "ftl/policy.hh"
-#include "ftl/superblock.hh"
 #include "sim/audit.hh"
 #include "sim/registry.hh"
 
@@ -326,36 +325,6 @@ TEST(VictimIndexTest, AuditPassesAfterChurnUnderEveryPolicy)
         auditor.addCheck("ftl",
                          [&m](AuditReport &rep) { m.audit(rep); });
         EXPECT_EQ(auditor.run(), 0u) << name;
-    }
-}
-
-//
-// Superblock-level policies
-//
-
-TEST(SuperblockPolicyTest, EveryPolicyPicksAReclaimableSuperblock)
-{
-    FlashGeometry geom;
-    geom.channels = 2;
-    geom.ways = 2;
-    geom.diesPerWay = 1;
-    geom.planesPerDie = 1;
-    geom.blocksPerPlane = 8;
-    geom.pagesPerBlock = 4;
-    for (const std::string &name : victimPolicyNames()) {
-        SuperblockMapping m(geom, 0.0, name);
-        Lpn per_sb = m.pagesPerSuperblock();
-        // Two full superblocks, holes punched in both.
-        for (Lpn l = 0; l < 2 * per_sb; ++l)
-            m.allocate(l);
-        for (Lpn l = 0; l < per_sb / 2; ++l)
-            m.invalidate(l);
-        m.invalidate(per_sb);
-        auto v = m.pickVictim();
-        ASSERT_TRUE(v.has_value()) << name;
-        EXPECT_EQ(m.info(*v).state, SuperblockState::Full) << name;
-        EXPECT_LT(m.info(*v).validCount, m.pagesPerSuperblock())
-            << name;
     }
 }
 

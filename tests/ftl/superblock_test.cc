@@ -1,8 +1,11 @@
-/** Unit tests for the superblock-organized mapping. */
+/** Unit tests for the superblock lifecycle table. */
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "ftl/superblock.hh"
+#include "sim/audit.hh"
 
 namespace dssd
 {
@@ -23,168 +26,111 @@ geom()
     return g;
 }
 
+/** Violations SuperblockMapping::audit finds in @p m. */
+std::size_t
+auditFailures(const SuperblockMapping &m)
+{
+    Auditor a(AuditMode::Report);
+    a.addCheck("superblocks", [&m](AuditReport &r) { m.audit(r); });
+    return a.run();
+}
+
 TEST(SuperblockMappingTest, DerivedCounts)
 {
-    SuperblockMapping m(geom(), 0.0);
+    SuperblockMapping m(geom());
     EXPECT_EQ(m.unitCount(), 16u);
     EXPECT_EQ(m.pagesPerSuperblock(), 64u);
     EXPECT_EQ(m.superblockCount(), 8u);
-    EXPECT_EQ(m.lpnCount(), 8u * 64u);
     EXPECT_EQ(m.freeSuperblocks(), 8u);
-}
-
-TEST(SuperblockMappingTest, AllocationStripesAcrossUnits)
-{
-    SuperblockMapping m(geom(), 0.0);
-    // The first unitCount allocations hit distinct units of one
-    // superblock at page 0.
-    std::set<std::uint32_t> units;
-    std::uint32_t sb = 0;
-    for (Lpn l = 0; l < 16; ++l) {
-        PhysAddr a = m.allocate(l);
-        sb = a.block;
-        EXPECT_EQ(a.page, 0u);
-        units.insert(m.stripeSlotOf(a) % m.unitCount());
-    }
-    EXPECT_EQ(units.size(), 16u);
-    EXPECT_EQ(m.info(sb).state, SuperblockState::Active);
+    EXPECT_EQ(auditFailures(m), 0u);
 }
 
 TEST(SuperblockMappingTest, SlotAddrRoundTrips)
 {
-    SuperblockMapping m(geom(), 0.0);
+    SuperblockMapping m(geom());
+    const FlashGeometry &g = m.geometry();
     for (std::uint32_t sb = 0; sb < 8; ++sb) {
+        std::set<std::uint32_t> units;
         for (std::uint32_t slot = 0; slot < 64; ++slot) {
             PhysAddr a = m.slotAddr(sb, slot);
-            EXPECT_EQ(m.superblockOf(a), sb);
-            EXPECT_EQ(m.stripeSlotOf(a), slot);
+            // Slots stripe plane-fastest across the units, then move
+            // to the next page.
+            std::uint32_t unit =
+                ((a.channel * g.ways + a.way) * g.diesPerWay + a.die) *
+                    g.planesPerDie +
+                a.plane;
+            EXPECT_EQ(a.block, sb);
+            EXPECT_EQ(a.page * m.unitCount() + unit, slot);
+            if (slot < m.unitCount())
+                units.insert(unit);
         }
+        EXPECT_EQ(units.size(), m.unitCount());
     }
-}
-
-TEST(SuperblockMappingTest, TranslateFollowsAllocation)
-{
-    SuperblockMapping m(geom(), 0.0);
-    PhysAddr a = m.allocate(42);
-    auto t = m.translate(42);
-    ASSERT_TRUE(t.has_value());
-    EXPECT_EQ(t->block, a.block);
-    EXPECT_EQ(t->page, a.page);
-    EXPECT_EQ(t->channel, a.channel);
-}
-
-TEST(SuperblockMappingTest, RewriteInvalidatesOldCopy)
-{
-    SuperblockMapping m(geom(), 0.0);
-    m.allocate(7);
-    m.allocate(7);
-    EXPECT_EQ(m.totalValidPages(), 1u);
-}
-
-TEST(SuperblockMappingTest, FullSuperblockThenNextOpens)
-{
-    SuperblockMapping m(geom(), 0.0);
-    for (Lpn l = 0; l < 64; ++l)
-        m.allocate(l);
-    EXPECT_EQ(m.info(0).state, SuperblockState::Full);
-    PhysAddr a = m.allocate(64);
-    EXPECT_EQ(a.block, 1u);
-    EXPECT_EQ(m.freeSuperblocks(), 6u);
-}
-
-TEST(SuperblockMappingTest, GreedyVictimFewestValid)
-{
-    SuperblockMapping m(geom(), 0.0);
-    for (Lpn l = 0; l < 128; ++l)
-        m.allocate(l); // fills superblocks 0 and 1
-    // Punch more holes in superblock 1.
-    for (Lpn l = 64; l < 64 + 40; ++l)
-        m.invalidate(l);
-    m.invalidate(0);
-    auto v = m.pickVictim();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 1u);
-}
-
-TEST(SuperblockMappingTest, FullyValidNotAVictim)
-{
-    SuperblockMapping m(geom(), 0.0);
-    for (Lpn l = 0; l < 64; ++l)
-        m.allocate(l);
-    EXPECT_FALSE(m.pickVictim().has_value());
-}
-
-TEST(SuperblockMappingTest, ValidLpnsPerChannel)
-{
-    SuperblockMapping m(geom(), 0.0);
-    m.fillAll(0, 0);
-    auto all = m.validLpns(0);
-    EXPECT_EQ(all.size(), 64u);
-    std::size_t sum = 0;
-    for (std::uint32_t ch = 0; ch < 4; ++ch) {
-        auto per = m.validLpnsOnChannel(0, ch);
-        EXPECT_EQ(per.size(), 16u); // 64 slots / 4 channels
-        sum += per.size();
-    }
-    EXPECT_EQ(sum, 64u);
 }
 
 TEST(SuperblockMappingTest, FillInvalidateEraseCycle)
 {
-    SuperblockMapping m(geom(), 0.0);
-    m.fillAll(3, 0);
-    EXPECT_EQ(m.info(3).state, SuperblockState::Full);
-    EXPECT_EQ(m.totalValidPages(), 64u);
+    SuperblockMapping m(geom());
+    m.fillAll(3);
+    EXPECT_EQ(m.state(3), SuperblockState::Full);
+    EXPECT_EQ(m.freeSuperblocks(), 7u);
+    EXPECT_EQ(auditFailures(m), 0u);
     m.invalidateAll(3);
-    EXPECT_EQ(m.totalValidPages(), 0u);
+    EXPECT_EQ(m.state(3), SuperblockState::Full);
+    EXPECT_EQ(auditFailures(m), 0u);
     m.eraseSuperblock(3);
-    EXPECT_EQ(m.info(3).state, SuperblockState::Free);
-    EXPECT_EQ(m.info(3).eraseCount, 1u);
+    EXPECT_EQ(m.state(3), SuperblockState::Free);
     EXPECT_EQ(m.freeSuperblocks(), 8u);
-}
-
-TEST(SuperblockMappingTest, FillAllInvalidatesPreviousCopies)
-{
-    SuperblockMapping m(geom(), 0.0);
-    m.fillAll(0, 0);
-    // Refilling the same LPN range elsewhere retires sb 0's copies.
-    m.fillAll(1, 0);
-    EXPECT_EQ(m.info(0).validCount, 0u);
-    EXPECT_EQ(m.info(1).validCount, 64u);
-    EXPECT_EQ(m.totalValidPages(), 64u);
+    EXPECT_EQ(auditFailures(m), 0u);
 }
 
 TEST(SuperblockMappingTest, RetireRemovesFromPool)
 {
-    SuperblockMapping m(geom(), 0.0);
+    SuperblockMapping m(geom());
     m.retireSuperblock(5);
-    EXPECT_EQ(m.info(5).state, SuperblockState::Dead);
+    EXPECT_EQ(m.state(5), SuperblockState::Dead);
     EXPECT_EQ(m.deadSuperblocks(), 1u);
     EXPECT_EQ(m.freeSuperblocks(), 7u);
+    EXPECT_EQ(auditFailures(m), 0u);
+    // A filled superblock retires once its data is dropped.
+    m.fillAll(2);
+    m.invalidateAll(2);
+    m.retireSuperblock(2);
+    EXPECT_EQ(m.deadSuperblocks(), 2u);
+    EXPECT_EQ(m.freeSuperblocks(), 6u);
+    EXPECT_EQ(auditFailures(m), 0u);
 }
 
 TEST(SuperblockMappingTest, ReserveRemovesFromPoolSeparately)
 {
-    SuperblockMapping m(geom(), 0.0);
+    SuperblockMapping m(geom());
     m.reserveSuperblock(7);
-    EXPECT_EQ(m.info(7).state, SuperblockState::Reserved);
+    EXPECT_EQ(m.state(7), SuperblockState::Reserved);
     EXPECT_EQ(m.reservedSuperblocks(), 1u);
     EXPECT_EQ(m.deadSuperblocks(), 0u);
     EXPECT_EQ(m.freeSuperblocks(), 7u);
+    EXPECT_EQ(auditFailures(m), 0u);
 }
 
 TEST(SuperblockMappingDeathTest, EraseWithValidPagesPanics)
 {
-    SuperblockMapping m(geom(), 0.0);
-    m.fillAll(0, 0);
+    SuperblockMapping m(geom());
+    m.fillAll(0);
     EXPECT_DEATH(m.eraseSuperblock(0), "valid pages");
+}
+
+TEST(SuperblockMappingDeathTest, RetireWithValidPagesPanics)
+{
+    SuperblockMapping m(geom());
+    m.fillAll(0);
+    EXPECT_DEATH(m.retireSuperblock(0), "valid pages");
 }
 
 TEST(SuperblockMappingDeathTest, FillNonFreePanics)
 {
-    SuperblockMapping m(geom(), 0.0);
-    m.fillAll(0, 0);
-    EXPECT_DEATH(m.fillAll(0, 64), "free superblock");
+    SuperblockMapping m(geom());
+    m.fillAll(0);
+    EXPECT_DEATH(m.fillAll(0), "free superblock");
 }
 
 } // namespace

@@ -27,8 +27,8 @@ TEST(DieTest, SinglePlaneReadOccupiesOnePlane)
     FlashDie d(e, geom(), ullTiming());
     Tick end = d.reserve(NandOp::Read, 0b0001, 0, 0);
     EXPECT_EQ(end, usToTicks(5));
-    EXPECT_EQ(d.planeBusyUntil(0), usToTicks(5));
-    EXPECT_EQ(d.planeBusyUntil(1), 0u);
+    EXPECT_EQ(d.planesBusyUntil(0b0001), usToTicks(5));
+    EXPECT_EQ(d.planesBusyUntil(0b0010), 0u);
     EXPECT_EQ(d.reads(), 1u);
 }
 
@@ -56,7 +56,7 @@ TEST(DieTest, MultiPlaneOpOccupiesAllPlanes)
     FlashDie d(e, geom(), ullTiming());
     Tick end = d.reserve(NandOp::Program, 0b1111, 0, 0);
     for (std::uint32_t p = 0; p < 4; ++p)
-        EXPECT_EQ(d.planeBusyUntil(p), end);
+        EXPECT_EQ(d.planesBusyUntil(1u << p), end);
 }
 
 TEST(DieTest, MultiPlaneWaitsForBusiestPlane)

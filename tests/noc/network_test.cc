@@ -159,17 +159,6 @@ TEST(NocTest, LatencyStatMatchesDeliveries)
     EXPECT_GT(net.latency().mean(), 0.0);
 }
 
-TEST(NocTest, SetLinkBandwidthSpeedsUpTransfers)
-{
-    Engine e;
-    NocNetwork net(e, std::make_unique<Mesh1D>(4), params());
-    net.setLinkBandwidth(10.0);
-    Tick done = 0;
-    net.send(0, 1, 1000, tagGc, [&] { done = e.now(); });
-    e.run();
-    EXPECT_EQ(done, 110u);
-}
-
 TEST(NocTest, BufferBackpressureDelaysInjection)
 {
     Engine e;

@@ -22,6 +22,21 @@ checkRouteConnectivity(const Topology &t, unsigned src, unsigned dst)
     EXPECT_EQ(at, dst);
 }
 
+/** Average route length in links over all src != dst pairs. */
+double
+averageHops(const Topology &t)
+{
+    unsigned n = t.numNodes();
+    std::uint64_t hops = 0;
+    for (unsigned s = 0; s < n; ++s) {
+        for (unsigned d = 0; d < n; ++d) {
+            if (s != d)
+                hops += t.route(s, d).size();
+        }
+    }
+    return static_cast<double>(hops) / (n * (n - 1.0));
+}
+
 TEST(Mesh1DTest, LinkCount)
 {
     Mesh1D m(8);
@@ -99,9 +114,9 @@ TEST(TopologyTest, AverageHopsOrdering)
     Ring r(8);
     Crossbar x(8);
     // mesh avg 3, ring avg ~2.29, crossbar "2" ports but simultaneous.
-    EXPECT_NEAR(m.averageHops(), 3.0, 0.01);
-    EXPECT_LT(r.averageHops(), m.averageHops());
-    EXPECT_NEAR(x.averageHops(), 2.0, 0.01);
+    EXPECT_NEAR(averageHops(m), 3.0, 0.01);
+    EXPECT_LT(averageHops(r), averageHops(m));
+    EXPECT_NEAR(averageHops(x), 2.0, 0.01);
 }
 
 TEST(TopologyFactoryTest, KnownNames)

@@ -13,6 +13,8 @@
 #include "noc/network.hh"
 #include "reliability/endurance.hh"
 
+#include "../ftl/mapping_oracle.hh"
+
 namespace dssd
 {
 namespace
@@ -84,7 +86,7 @@ TEST_P(MappingProperty, MappingStaysBijectiveUnderRandomOps)
         auto ppn = m.translate(l);
         EXPECT_EQ(ppn.has_value(), mapped[l]) << "lpn " << l;
         if (ppn) {
-            EXPECT_EQ(*m.reverseLookup(*ppn), l);
+            EXPECT_EQ(*reverseLookup(m, *ppn), l);
         }
     }
 }

@@ -77,15 +77,6 @@ TEST(BandwidthResourceTest, QueueDelayReflectsBacklog)
     EXPECT_EQ(r.queueDelay(), 250u);
 }
 
-TEST(BandwidthResourceTest, BandwidthChangeAffectsLaterTransfers)
-{
-    Engine e;
-    BandwidthResource r(e, "bus", 1.0);
-    EXPECT_EQ(r.duration(100), 100u);
-    r.setBandwidth(2.0);
-    EXPECT_EQ(r.duration(100), 50u);
-}
-
 TEST(UtilizationRecorderTest, SingleWindowFraction)
 {
     UtilizationRecorder rec(1000);

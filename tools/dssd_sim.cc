@@ -31,7 +31,7 @@ namespace
 /// NVMe's ceiling on submission-queue entries.
 constexpr std::uint64_t kMaxQueueDepth = 65536;
 /// 11.6 simulated days: the window in ticks stays far from overflow.
-constexpr double kMaxWindowMs = 1e9;
+constexpr std::uint64_t kMaxWindowMs = 1000000000;
 /// --seeds runs one full experiment per seed.
 constexpr std::uint64_t kMaxSeeds = 65536;
 
@@ -80,7 +80,7 @@ usage()
         "                  staggered|token|greedy (default uncoordinated)\n"
         "  --parity        rotating-parity striping + degraded reads\n"
         "                  (needs --shards >= 2)\n"
-        "  --window-ms=N   measurement window (default 30)\n"
+        "  --window-ms=N   measurement window, whole ms (default 30)\n"
         "  --channels=N --ways=N --planes=N   geometry (8/4/8)\n"
         "  --blocks=N --pages=N               per-plane geometry (16/16)\n"
         "  --tlc           TLC timing and 16 KB pages (default ULL)\n"
@@ -227,8 +227,8 @@ main(int argc, char **argv)
             p.engineThreads = static_cast<unsigned>(
                 parseUnsignedOpt("--engine-threads", v, 0, kMaxParallelism));
         else if (flagValue(argv[i], "--window-ms", &v))
-            p.window = msToTicks(
-                parseRealOpt("--window-ms", v, ticksToMs(1), kMaxWindowMs));
+            p.window = msToTicks(static_cast<double>(
+                parseUnsignedOpt("--window-ms", v, 1, kMaxWindowMs)));
         else if (flagValue(argv[i], "--channels", &v))
             p.channels = geometryOpt("--channels", v);
         else if (flagValue(argv[i], "--ways", &v))

@@ -145,7 +145,7 @@ run(Path path, unsigned copies, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(argc, argv, {"--full", "--seed"});
     banner("Ablation",
            "copyback datapaths: latency, throughput, ECC coverage, "
            "front-end footprint");

@@ -61,7 +61,7 @@ runScheme(DsmScheme scheme, bool full, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(argc, argv, {"--full", "--seed"});
     banner("Ablation",
            "dynamic superblock management through the timed datapath "
            "(dSSD_f, TLC)");

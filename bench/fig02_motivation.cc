@@ -16,16 +16,16 @@ using namespace dssd::bench;
 namespace
 {
 
-void
-scenario(const char *label, std::uint64_t req_bytes, bool full)
+ExpParams
+scenario(std::uint64_t req_bytes, const BenchOpts &o)
 {
     ExpParams p;
     p.arch = ArchKind::Baseline;
     p.channels = 8;
     p.ways = 8;
     p.planes = 8;
-    p.blocksPerPlane = full ? 96 : 48;
-    p.pagesPerBlock = full ? 64 : 16;
+    p.blocksPerPlane = o.full ? 96 : 48;
+    p.pagesPerBlock = o.full ? 64 : 16;
     p.requestBytes = req_bytes;
     p.sequential = true;
     p.readRatio = 0.0;
@@ -38,11 +38,15 @@ scenario(const char *label, std::uint64_t req_bytes, bool full)
     p.gcDelay = 10 * tickMs;
     p.continuousGc = false;
     p.gcVictims = 2;
+    p.seed = o.seed;
+    return p;
+}
 
-    ExpResult r = runExperiment(p);
-
+void
+report(const char *label, const ExpParams &p, const ExpResult &r)
+{
     std::printf("\n[%s] %llu KB sequential writes, QD 64\n", label,
-                static_cast<unsigned long long>(req_bytes / kKiB));
+                static_cast<unsigned long long>(p.requestBytes / kKiB));
     std::printf("GC active: %.1f ms .. %.1f ms\n",
                 ticksToMs(r.gcStart), ticksToMs(r.gcEnd));
     std::printf("%6s  %12s  %10s  %10s\n", "t(ms)", "IO-BW(GB/s)",
@@ -63,12 +67,16 @@ scenario(const char *label, std::uint64_t req_bytes, bool full)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--full", "--seed", "--threads"});
+    std::vector<ExpParams> ps = {scenario(4 * kKiB, o),
+                                 scenario(32 * kKiB, o)};
+    std::vector<ExpResult> rs = runExperiments(ps, o.resolvedThreads());
     banner("Fig 2",
            "GC interference on I/O bandwidth and system-bus utilization "
            "(Baseline SSD, ULL flash)");
-    scenario("low-bandwidth", 4 * kKiB, o.full);
+    report("low-bandwidth", ps[0], rs[0]);
     rule();
-    scenario("high-bandwidth", 32 * kKiB, o.full);
+    report("high-bandwidth", ps[1], rs[1]);
     return 0;
 }

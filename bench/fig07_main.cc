@@ -21,10 +21,12 @@ constexpr ArchKind kArchs[] = {ArchKind::Baseline, ArchKind::BW,
                                ArchKind::DSSDNoc};
 
 ExpParams
-baseParams(const BenchOpts &o)
+baseParams(const BenchOpts &o, ArchKind arch)
 {
     bool full = o.full;
     ExpParams p;
+    p.arch = arch;
+    p.seed = o.seed;
     p.channels = 8;
     p.ways = full ? 8 : 4;
     p.planes = 8;
@@ -54,32 +56,44 @@ baseParams(const BenchOpts &o)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv,
+        {"--full", "--seed", "--threads", "--trace-out", "--stats", "--shards",
+         "--engine-threads"});
+    // Per arch: the buffered run of (a), then the DRAM-hit and the
+    // flash-write runs of (b).
+    const BufferMode modes[] = {BufferMode::Real, BufferMode::AlwaysHit,
+                                BufferMode::AlwaysMiss};
+    std::vector<ExpParams> ps;
+    for (ArchKind k : kArchs) {
+        for (BufferMode m : modes) {
+            ExpParams p = baseParams(o, k);
+            p.bufferMode = m;
+            if (k == ArchKind::DSSDNoc && m == BufferMode::Real) {
+                // Trace/stats attach to the fNoC run: it exercises
+                // every track family (die ops, buses, NoC hops,
+                // global-copyback stages).
+                p.tracePath = o.traceOut;
+                p.statsPath = o.stats;
+            }
+            ps.push_back(p);
+        }
+    }
+    std::vector<ExpResult> rs = runExperiments(ps, o.resolvedThreads());
+    const std::size_t n = std::size(kArchs);
+    const std::size_t m = std::size(modes);
+
     banner("Fig 7(a)",
            "normalized I/O and GC performance, equal on-chip bandwidth");
-
-    double base_io = 0, base_gc = 0;
     std::printf("%-10s  %12s  %12s  %10s  %10s\n", "config",
                 "IO(GB/s)", "GC(pg/s)", "IO(norm)", "GC(norm)");
-    for (ArchKind k : kArchs) {
-        ExpParams p = baseParams(o);
-        p.arch = k;
-        p.seed = o.seed;
-        if (k == ArchKind::DSSDNoc) {
-            // Trace/stats attach to the fNoC run: it exercises every
-            // track family (die ops, buses, NoC hops, global-copyback
-            // stages).
-            p.tracePath = o.trace;
-            p.statsPath = o.stats;
-        }
-        ExpResult r = runExperiment(p);
-        if (k == ArchKind::Baseline) {
-            base_io = r.ioBytesPerSec;
-            base_gc = r.gcPagesPerSec;
-        }
+    const ExpResult &base = rs[0];
+    for (std::size_t i = 0; i < n; ++i) {
+        const ExpResult &r = rs[m * i];
         std::printf("%-10s  %12.3f  %12.0f  %10.3f  %10.3f\n",
-                    archName(k), r.ioBytesPerSec / 1e9, r.gcPagesPerSec,
-                    r.ioBytesPerSec / base_io, r.gcPagesPerSec / base_gc);
+                    archName(kArchs[i]), r.ioBytesPerSec / 1e9,
+                    r.gcPagesPerSec, r.ioBytesPerSec / base.ioBytesPerSec,
+                    r.gcPagesPerSec / base.gcPagesPerSec);
     }
 
     rule();
@@ -87,15 +101,10 @@ main(int argc, char **argv)
            "I/O system-bus utilization during GC: DRAM-hit vs flash-write");
     std::printf("%-10s  %16s  %16s\n", "config", "DRAM-hit util(%)",
                 "flash-wr util(%)");
-    for (ArchKind k : kArchs) {
-        ExpParams p = baseParams(o);
-        p.arch = k;
-        p.seed = o.seed;
-        p.bufferMode = BufferMode::AlwaysHit;
-        ExpResult hit = runExperiment(p);
-        p.bufferMode = BufferMode::AlwaysMiss;
-        ExpResult miss = runExperiment(p);
-        std::printf("%-10s  %16.1f  %16.1f\n", archName(k),
+    for (std::size_t i = 0; i < n; ++i) {
+        const ExpResult &hit = rs[m * i + 1];
+        const ExpResult &miss = rs[m * i + 2];
+        std::printf("%-10s  %16.1f  %16.1f\n", archName(kArchs[i]),
                     100 * hit.busIoUtil, 100 * miss.busIoUtil);
     }
     return 0;

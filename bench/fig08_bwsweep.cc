@@ -79,7 +79,8 @@ sweep(const char *label, std::uint64_t req_bytes, const BenchOpts &o,
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--full", "--seed", "--threads", "--json"});
     JsonSeriesWriter json;
     banner("Fig 8", "performance vs amount of on-chip bandwidth");
     sweep("low", 4 * kKiB, o, json);

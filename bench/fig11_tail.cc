@@ -30,10 +30,9 @@ constexpr Scheme kSchemes[] = {
     {"dSSD_f", ArchKind::DSSDNoc, GcPolicy::Parallel},
 };
 
-double
-runTrace(const char *trace, const Scheme &s, const BenchOpts &o)
+ExpParams
+traceParams(const char *trace, const Scheme &s, const BenchOpts &o)
 {
-    std::uint64_t seed = o.seed;
     ExpParams p;
     p.arch = s.arch;
     p.gcPolicy = s.pol;
@@ -57,9 +56,8 @@ runTrace(const char *trace, const Scheme &s, const BenchOpts &o)
     // TinyTail slices.
     p.gcCopiesInFlight = 8; // bursty PaGC-style collection
     p.window = 25 * tickMs;
-    p.seed = seed;
-    ExpResult r = runExperiment(p);
-    return r.p99LatencyUs;
+    p.seed = o.seed;
+    return p;
 }
 
 } // namespace
@@ -67,37 +65,39 @@ runTrace(const char *trace, const Scheme &s, const BenchOpts &o)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--seed", "--threads", "--shards", "--engine-threads"});
+    // Every trace on every scheme; (a) reads the prn_0 row of (b).
+    const char *traces[] = {"prn_0", "src1_2", "usr_2", "hm_1",
+                            "proj_0", "mds_0", "web_0", "rsrch_0"};
+    constexpr std::size_t n = std::size(kSchemes);
+    std::vector<ExpParams> ps;
+    for (const char *t : traces)
+        for (const Scheme &s : kSchemes)
+            ps.push_back(traceParams(t, s, o));
+    std::vector<ExpResult> rs = runExperiments(ps, o.resolvedThreads());
+    auto p99 = [&](std::size_t t, std::size_t s) {
+        return rs[t * n + s].p99LatencyUs;
+    };
 
     banner("Fig 11(a)", "prn_0 99% tail latency per scheme");
     std::printf("%-14s  %12s  %14s\n", "scheme", "p99(us)",
                 "dSSD_f speedup");
-    double p99[std::size(kSchemes)];
-    int i = 0;
-    for (const Scheme &s : kSchemes)
-        p99[i++] = runTrace("prn_0", s, o);
-    double dssdf = p99[std::size(kSchemes) - 1];
-    i = 0;
-    for (const Scheme &s : kSchemes) {
-        std::printf("%-14s  %12.1f  %13.2fx\n", s.label, p99[i],
-                    p99[i] / dssdf);
-        ++i;
+    for (std::size_t s = 0; s < n; ++s) {
+        std::printf("%-14s  %12.1f  %13.2fx\n", kSchemes[s].label,
+                    p99(0, s), p99(0, s) / p99(0, n - 1));
     }
 
     rule();
     banner("Fig 11(b)",
            "average p99 tail-latency reduction of dSSD_f across traces");
-    const char *traces[] = {"prn_0", "src1_2", "usr_2", "hm_1",
-                            "proj_0", "mds_0", "web_0", "rsrch_0"};
-    double gain[std::size(kSchemes) - 1] = {};
-    for (const char *t : traces) {
-        double d = runTrace(t, kSchemes[std::size(kSchemes) - 1], o);
-        for (std::size_t s = 0; s + 1 < std::size(kSchemes); ++s)
-            gain[s] += runTrace(t, kSchemes[s], o) / d;
-    }
+    double gain[n - 1] = {};
+    for (std::size_t t = 0; t < std::size(traces); ++t)
+        for (std::size_t s = 0; s + 1 < n; ++s)
+            gain[s] += p99(t, s) / p99(t, n - 1);
     std::printf("%-14s  %22s\n", "vs scheme",
                 "avg p99 reduction (x)");
-    for (std::size_t s = 0; s + 1 < std::size(kSchemes); ++s) {
+    for (std::size_t s = 0; s + 1 < n; ++s) {
         std::printf("%-14s  %21.2fx\n", kSchemes[s].label,
                     gain[s] / std::size(traces));
     }

@@ -45,7 +45,8 @@ gcParams(unsigned channels, unsigned ways, double ratio,
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--seed", "--threads", "--json"});
     const double ratios[] = {0.25, 0.5, 1.0, 2.0, 4.0};
     const unsigned chans[] = {4u, 8u, 16u};
     const unsigned ways[] = {1u, 2u, 4u, 8u};

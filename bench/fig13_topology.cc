@@ -45,7 +45,8 @@ gcParams(const std::string &topo, double bisection_gb, unsigned buffers,
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--seed", "--threads", "--json"});
     const char *topos[] = {"mesh", "ring", "crossbar"};
     const double bisections[] = {0.5, 1.0, 2.0, 4.0};
     const unsigned buffers[] = {1u, 2u, 4u, 8u};

@@ -112,7 +112,8 @@ scanOverheadLatency(unsigned scan_blocks)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--full", "--seed", "--threads", "--json"});
     unsigned threads = o.resolvedThreads();
     JsonSeriesWriter json;
 

@@ -54,7 +54,8 @@ latParams(bool tlc, double read_ratio, unsigned srt_entries,
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--full", "--seed", "--threads", "--json"});
     unsigned threads = o.resolvedThreads();
     JsonSeriesWriter json;
 

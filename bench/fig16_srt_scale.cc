@@ -41,7 +41,8 @@ eparams(std::uint32_t superblocks, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv, {"--full", "--seed", "--threads", "--json"});
     unsigned threads = o.resolvedThreads();
     JsonSeriesWriter json;
 

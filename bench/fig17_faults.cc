@@ -107,7 +107,10 @@ runDsmScheme(DsmScheme scheme, const BenchOpts &o, double scale,
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv,
+        {"--full", "--seed", "--threads", "--json", "--trace-out", "--stats",
+         "--fault-seed", "--shards", "--engine-threads"});
     JsonSeriesWriter json;
 
     banner("Fig 17(a)",
@@ -122,7 +125,7 @@ main(int argc, char **argv)
     // the nominal fault rate.
     for (ExpParams &p : ps) {
         if (p.arch == ArchKind::DSSDNoc && p.fault.rberScale == 1.0) {
-            p.tracePath = o.trace;
+            p.tracePath = o.traceOut;
             p.statsPath = o.stats;
         }
     }

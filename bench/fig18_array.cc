@@ -12,7 +12,6 @@
  * count so the host keeps every shard loaded.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -33,7 +32,10 @@ constexpr ArchKind kArchs[] = {ArchKind::Baseline, ArchKind::DSSDNoc};
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv,
+        {"--full", "--seed", "--threads", "--json", "--trace-out", "--stats",
+         "--engine-threads", "--timing"});
     JsonSeriesWriter json;
     banner("Fig 18", "host bandwidth scaling with SsdArray shards");
 
@@ -68,35 +70,17 @@ main(int argc, char **argv)
     for (ExpParams &p : ps) {
         if (p.arch == ArchKind::DSSDNoc &&
             p.shards == kShards[std::size(kShards) - 1]) {
-            p.tracePath = o.trace;
+            p.tracePath = o.traceOut;
             p.statsPath = o.stats;
         }
     }
 
-    // --timing runs the points serially so each wall-clock number
-    // measures one experiment alone; all of it goes to stderr (and the
-    // JSON series), never stdout, which must stay byte-identical
-    // across --engine-threads values.
-    std::vector<ExpResult> rs;
-    std::vector<double> wall_ms(ps.size(), 0.0);
-    if (o.timing) {
-        rs.resize(ps.size());
-        for (std::size_t i = 0; i < ps.size(); ++i) {
-            auto t0 = std::chrono::steady_clock::now();
-            rs[i] = runExperiment(ps[i]);
-            auto t1 = std::chrono::steady_clock::now();
-            wall_ms[i] =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-            std::fprintf(stderr,
-                         "[timing] %s shards=%u engine-threads=%u: "
-                         "%.1f ms\n",
-                         archName(ps[i].arch), ps[i].shards,
-                         ps[i].engineThreads, wall_ms[i]);
-        }
-    } else {
-        rs = runExperiments(ps, o.resolvedThreads());
-    }
+    auto label = [](const ExpParams &p) {
+        return strformat("%s shards=%u engine-threads=%u",
+                         archName(p.arch), p.shards, p.engineThreads);
+    };
+    std::vector<double> wall_ms;
+    std::vector<ExpResult> rs = runTimed(ps, o, label, wall_ms);
 
     std::printf("\n%-8s  %-7s  %12s  %9s  %12s\n", "config", "shards",
                 "IO BW", "scaling", "GC pages/s");

@@ -23,7 +23,6 @@
  * interleavings — and hence percentiles — legitimately differ.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -52,7 +51,10 @@ constexpr bool kParity[] = {false, true};
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv,
+        {"--full", "--seed", "--threads", "--json", "--trace-out", "--stats",
+         "--engine-threads", "--timing"});
     JsonSeriesWriter json;
     banner("Fig 19",
            "array p99/p99.9 vs load: GC coordination + parity");
@@ -94,34 +96,19 @@ main(int argc, char **argv)
         if (p.arch == ArchKind::DSSDNoc && p.parity &&
             p.arrayGc == ArrayGcPolicy::Staggered &&
             p.queueDepth == kDepths[std::size(kDepths) - 1]) {
-            p.tracePath = o.trace;
+            p.tracePath = o.traceOut;
             p.statsPath = o.stats;
         }
     }
 
-    std::vector<ExpResult> rs;
-    std::vector<double> wall_ms(ps.size(), 0.0);
-    if (o.timing) {
-        rs.resize(ps.size());
-        for (std::size_t i = 0; i < ps.size(); ++i) {
-            auto t0 = std::chrono::steady_clock::now();
-            rs[i] = runExperiment(ps[i]);
-            auto t1 = std::chrono::steady_clock::now();
-            wall_ms[i] =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-            std::fprintf(stderr,
-                         "[timing] %s %s%s qd=%u engine-threads=%u: "
-                         "%.1f ms\n",
-                         archName(ps[i].arch),
-                         arrayGcPolicyName(ps[i].arrayGc),
-                         ps[i].parity ? "+parity" : "",
-                         ps[i].queueDepth, ps[i].engineThreads,
-                         wall_ms[i]);
-        }
-    } else {
-        rs = runExperiments(ps, o.resolvedThreads());
-    }
+    auto label = [](const ExpParams &p) {
+        return strformat("%s %s%s qd=%u engine-threads=%u",
+                         archName(p.arch), arrayGcPolicyName(p.arrayGc),
+                         p.parity ? "+parity" : "", p.queueDepth,
+                         p.engineThreads);
+    };
+    std::vector<double> wall_ms;
+    std::vector<ExpResult> rs = runTimed(ps, o, label, wall_ms);
 
     std::size_t idx = 0;
     for (ArchKind k : kArchs) {

@@ -36,7 +36,6 @@
  * arrival spec, and --tenants replaces experiment (a)'s tenant set.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -106,7 +105,11 @@ makeTenant(double slo_us, const ArrivalParams &arrival)
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv,
+        {"--full", "--seed", "--threads", "--json", "--trace-out", "--stats",
+         "--engine-threads", "--timing", "--tenants", "--arbiter", "--arrival",
+         "--slo"});
     JsonSeriesWriter json;
     banner("Fig 20",
            "multi-tenant SLO compliance vs open-loop load");
@@ -203,33 +206,18 @@ main(int argc, char **argv)
     for (std::size_t i = noisy_begin; i < ps.size(); ++i) {
         if (ps[i].arch == ArchKind::DSSDNoc &&
             ps[i].arbiter == ArbiterPolicy::WeightedRoundRobin) {
-            ps[i].tracePath = o.trace;
+            ps[i].tracePath = o.traceOut;
             ps[i].statsPath = o.stats;
         }
     }
 
-    std::vector<ExpResult> rs;
-    std::vector<double> wall_ms(ps.size(), 0.0);
-    if (o.timing) {
-        rs.resize(ps.size());
-        for (std::size_t i = 0; i < ps.size(); ++i) {
-            auto t0 = std::chrono::steady_clock::now();
-            rs[i] = runExperiment(ps[i]);
-            auto t1 = std::chrono::steady_clock::now();
-            wall_ms[i] =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-            std::fprintf(stderr,
-                         "[timing] %s %s %zu tenants "
-                         "engine-threads=%u: %.1f ms\n",
-                         archName(ps[i].arch),
-                         arbiterPolicyName(ps[i].arbiter),
-                         ps[i].hostTenants.size(),
-                         ps[i].engineThreads, wall_ms[i]);
-        }
-    } else {
-        rs = runExperiments(ps, o.resolvedThreads());
-    }
+    auto label = [](const ExpParams &p) {
+        return strformat("%s %s %zu tenants engine-threads=%u",
+                         archName(p.arch), arbiterPolicyName(p.arbiter),
+                         p.hostTenants.size(), p.engineThreads);
+    };
+    std::vector<double> wall_ms;
+    std::vector<ExpResult> rs = runTimed(ps, o, label, wall_ms);
 
     std::size_t idx = 0;
     for (ArchKind k : kArchs) {

@@ -24,7 +24,6 @@
  * --engine-threads=1 vs 8 and double-runs the default).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -74,7 +73,10 @@ constexpr unsigned kQueueDepth = 128;
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
+    BenchOpts o = BenchOpts::parse(
+        argc, argv,
+        {"--full", "--seed", "--threads", "--json", "--trace-out", "--stats",
+         "--faults", "--fault-seed", "--engine-threads", "--timing"});
     JsonSeriesWriter json;
     banner("Fig 21",
            "GC policy tournament: WAF + p99.9 per {policy, arch, "
@@ -131,34 +133,19 @@ main(int argc, char **argv)
         if (p.arch == ArchKind::DSSDNoc && p.hotAccessRatio > 0.0 &&
             p.victimPolicy == std::string("costbenefit") &&
             p.gcPreempt) {
-            p.tracePath = o.trace;
+            p.tracePath = o.traceOut;
             p.statsPath = o.stats;
         }
     }
 
-    std::vector<ExpResult> rs;
-    std::vector<double> wall_ms(ps.size(), 0.0);
-    if (o.timing) {
-        rs.resize(ps.size());
-        for (std::size_t i = 0; i < ps.size(); ++i) {
-            auto t0 = std::chrono::steady_clock::now();
-            rs[i] = runExperiment(ps[i]);
-            auto t1 = std::chrono::steady_clock::now();
-            wall_ms[i] =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-            std::fprintf(stderr,
-                         "[timing] %s %s/%s%s engine-threads=%u: "
-                         "%.1f ms\n",
-                         archName(ps[i].arch),
-                         ps[i].victimPolicy.c_str(),
-                         ps[i].allocPolicy.c_str(),
-                         ps[i].gcPreempt ? "+pre" : "",
-                         ps[i].engineThreads, wall_ms[i]);
-        }
-    } else {
-        rs = runExperiments(ps, o.resolvedThreads());
-    }
+    auto label = [](const ExpParams &p) {
+        return strformat("%s %s/%s%s engine-threads=%u",
+                         archName(p.arch), p.victimPolicy.c_str(),
+                         p.allocPolicy.c_str(), p.gcPreempt ? "+pre" : "",
+                         p.engineThreads);
+    };
+    std::vector<double> wall_ms;
+    std::vector<ExpResult> rs = runTimed(ps, o, label, wall_ms);
 
     std::size_t idx = 0;
     for (ArchKind k : kArchs) {

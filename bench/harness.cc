@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +27,22 @@ bool
 isDigit(char c)
 {
     return std::isdigit(static_cast<unsigned char>(c)) != 0;
+}
+
+/** Print the usage text generated from @p table, then fail with @p error. */
+[[noreturn]] void
+usageError(const char *argv0, const std::vector<Option> &table,
+           const std::string &error)
+{
+    const char *slash = std::strrchr(argv0, '/');
+    std::fprintf(stderr, "usage: %s%s\n", slash ? slash + 1 : argv0,
+                 table.empty() ? "" : " [options]");
+    for (const Option &opt : table) {
+        std::string flag = opt.arg ? strformat("%s=%s", opt.name, opt.arg)
+                                   : opt.name;
+        std::fprintf(stderr, "  %-20s%s\n", flag.c_str(), opt.help);
+    }
+    fatal("%s", error.c_str());
 }
 
 } // namespace
@@ -64,106 +81,124 @@ parseRealOpt(const char *flag, const char *text, double lo, double hi,
     return v;
 }
 
+void
+parseOptions(int argc, char **argv, const std::vector<Option> &table)
+{
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        std::size_t eq = arg.find('=');
+        std::string name = arg.substr(0, eq);
+        auto opt = std::find_if(
+            table.begin(), table.end(),
+            [&](const Option &o) { return name == o.name; });
+        if (opt == table.end())
+            usageError(argv[0], table, "unknown option '" + name + "'");
+        if (!opt->arg) {
+            if (eq != std::string::npos)
+                usageError(argv[0], table, name + " takes no value");
+            opt->set(nullptr);
+        } else if (eq != std::string::npos) {
+            opt->set(argv[i] + eq + 1);
+        } else if (i + 1 < argc) {
+            opt->set(argv[++i]);
+        } else {
+            usageError(argv[0], table, name + " needs a value");
+        }
+    }
+}
+
 BenchOpts
-BenchOpts::parse(int argc, char **argv)
+BenchOpts::parse(int argc, char **argv,
+                 std::initializer_list<const char *> accepts)
 {
     BenchOpts o;
-    auto value = [&](const char *name, int &i) -> const char * {
-        std::size_t n = std::strlen(name);
-        if (std::strncmp(argv[i], name, n) != 0)
-            return nullptr;
-        if (argv[i][n] == '=')
-            return argv[i] + n + 1;
-        if (argv[i][n] == '\0' && i + 1 < argc)
-            return argv[++i];
-        return nullptr;
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *v;
-        if (std::strcmp(argv[i], "--full") == 0)
-            o.full = true;
-        else if ((v = value("--seed", i)))
-            o.seed = parseUnsignedOpt("--seed", v, 0);
-        else if ((v = value("--threads", i)))
-            o.threads = static_cast<unsigned>(
-                parseUnsignedOpt("--threads", v, 0, kMaxParallelism));
-        else if ((v = value("--json", i)))
-            o.json = v;
-        else if ((v = value("--trace", i)))
-            o.trace = v;
-        else if ((v = value("--stats", i)))
-            o.stats = v;
-        else if (std::strcmp(argv[i], "--faults") == 0)
-            o.faults = true;
-        else if ((v = value("--fault-seed", i))) {
-            o.faults = true;
-            o.faultSeed = parseUnsignedOpt("--fault-seed", v, 0);
-        } else if ((v = value("--shards", i)))
-            o.shards = static_cast<unsigned>(
-                parseUnsignedOpt("--shards", v, 1, kMaxParallelism));
-        else if ((v = value("--engine-threads", i))) {
-            o.engineThreads = static_cast<unsigned>(
-                parseUnsignedOpt("--engine-threads", v, 0, kMaxParallelism));
-        } else if (std::strcmp(argv[i], "--timing") == 0)
-            o.timing = true;
-        else if ((v = value("--array-gc", i))) {
-            auto policy = parseArrayGcPolicy(v);
-            if (!policy) {
-                fatal("unknown --array-gc policy '%s' (supported: "
-                      "uncoordinated staggered token greedy)",
-                      v);
-            }
-            o.arrayGc = *policy;
-        } else if (std::strcmp(argv[i], "--parity") == 0)
-            o.parity = true;
-        else if ((v = value("--tenants", i))) {
-            if (!parseTenantSpec(v))
-                fatal("bad --tenants spec '%s' (a count or "
-                      "';'-separated \"qd:N,w:N,prio:N,rate:B,"
-                      "burst:B,slo:US,name:S\" groups)",
-                      v);
-            o.tenants = v;
-        } else if ((v = value("--arbiter", i))) {
-            if (!parseArbiterPolicy(v))
-                fatal("unknown --arbiter policy '%s' (supported: rr "
-                      "wrr prio)",
-                      v);
-            o.arbiter = v;
-        } else if ((v = value("--arrival", i))) {
-            if (!parseArrivalSpec(v))
-                fatal("bad --arrival spec '%s' (closed | "
-                      "poisson:IOPS | pareto:IOPS[:ALPHA], with "
-                      "optional \",diurnal:AMP[:PERIOD_MS]\" and "
-                      "\",burst:FACTOR[:ON_MS[:OFF_MS]]\")",
-                      v);
-            o.arrival = v;
-        } else if ((v = value("--slo", i)))
-            o.sloUs = parseRealOpt("--slo", v, 0.0, INFINITY, true);
-        else if ((v = value("--gc-policy", i))) {
-            if (!isVictimPolicy(v))
-                fatal("unknown --gc-policy '%s' (supported: greedy "
-                      "costbenefit windowed)",
-                      v);
-            o.gcPolicy = v;
-        } else if ((v = value("--alloc-policy", i))) {
-            if (!isAllocPolicy(v))
-                fatal("unknown --alloc-policy '%s' (supported: rr "
-                      "conflict)",
-                      v);
-            o.allocPolicy = v;
-        } else if (std::strcmp(argv[i], "--gc-preempt") == 0)
-            o.gcPreempt = true;
-        else
-            fatal("unknown option '%s' (supported: --full --seed=N "
-                  "--threads=N --json=FILE --trace=FILE --stats=FILE "
-                  "--faults --fault-seed=N --shards=N "
-                  "--engine-threads=N --array-gc=POLICY --parity "
-                  "--tenants=SPEC --arbiter=POLICY --arrival=SPEC "
-                  "--slo=US --gc-policy=NAME --alloc-policy=NAME "
-                  "--gc-preempt --timing)",
-                  argv[i]);
-    }
+    parseOptions(argc, argv, o.options(accepts));
     return o;
+}
+
+std::vector<Option>
+BenchOpts::options(std::initializer_list<const char *> names)
+{
+    auto parallelism = [](const char *flag, const char *v, unsigned lo) {
+        return static_cast<unsigned>(
+            parseUnsignedOpt(flag, v, lo, kMaxParallelism));
+    };
+    std::vector<Option> table = {
+        {"--full", nullptr, "run a larger geometry, nearer Table 1 (slow)",
+         [this](const char *) { full = true; }},
+        {"--seed", "N", "workload seed (default 1)",
+         [this](const char *v) { seed = parseUnsignedOpt("--seed", v, 0); }},
+        {"--threads", "N",
+         "worker threads for independent runs (default 0 = all cores)",
+         [this, parallelism](const char *v) {
+             threads = parallelism("--threads", v, 0);
+         }},
+        {"--json", "FILE", "also write every printed series as JSON",
+         [this](const char *v) { json = v; }},
+        {"--trace-out", "FILE", "write a Chrome trace_event JSON of one run",
+         [this](const char *v) { traceOut = v; }},
+        {"--stats", "FILE",
+         "dump one run's stat registry as JSON (- = stdout)",
+         [this](const char *v) { stats = v; }},
+        {"--faults", nullptr, "enable the fault-injection model",
+         [this](const char *) { faults = true; }},
+        {"--fault-seed", "N", "fault RNG seed (default 99; implies --faults)",
+         [this](const char *v) {
+             faults = true;
+             faultSeed = parseUnsignedOpt("--fault-seed", v, 0);
+         }},
+        {"--shards", "N", "run an N-shard SsdArray front-end",
+         [this, parallelism](const char *v) {
+             shards = parallelism("--shards", v, 1);
+         }},
+        {"--engine-threads", "N",
+         "per-shard engines, N group workers (0 = one shared engine)",
+         [this, parallelism](const char *v) {
+             engineThreads = parallelism("--engine-threads", v, 0);
+         }},
+        {"--timing", nullptr,
+         "print wall-clock timings to stderr (stdout is unchanged)",
+         [this](const char *) { timing = true; }},
+        {"--tenants", "SPEC",
+         "host tenants: a count or ';'-separated "
+         "qd:N,w:N,prio:N,rate:B,burst:B,slo:US,name:S groups",
+         [this](const char *v) {
+             if (!parseTenantSpec(v))
+                 fatal("--tenants needs a count or ';'-separated "
+                       "qd:N,w:N,prio:N,rate:B,burst:B,slo:US,name:S "
+                       "groups, got '%s'", v);
+             tenants = v;
+         }},
+        {"--arbiter", "P", "submission-queue arbitration: rr|wrr|prio",
+         [this](const char *v) {
+             if (!parseArbiterPolicy(v))
+                 fatal("--arbiter needs rr|wrr|prio, got '%s'", v);
+             arbiter = v;
+         }},
+        {"--arrival", "SPEC",
+         "closed, or poisson:IOPS|pareto:IOPS[:ALPHA][,diurnal:..][,burst:..]",
+         [this](const char *v) {
+             if (!parseArrivalSpec(v))
+                 fatal("--arrival needs closed|poisson:IOPS|pareto:IOPS"
+                       "[:ALPHA], then optional ,diurnal:AMP[:PERIOD_MS] "
+                       "and ,burst:FACTOR[:ON_MS[:OFF_MS]], got '%s'", v);
+             arrival = v;
+         }},
+        {"--slo", "US", "per-tenant latency SLO target in us",
+         [this](const char *v) {
+             sloUs = parseRealOpt("--slo", v, 0.0, INFINITY, true);
+         }},
+    };
+    std::vector<Option> picked;
+    for (const char *name : names) {
+        auto opt = std::find_if(
+            table.begin(), table.end(),
+            [&](const Option &o) { return std::strcmp(o.name, name) == 0; });
+        if (opt == table.end())
+            panic("BenchOpts has no flag '%s'", name);
+        picked.push_back(*opt);
+    }
+    return picked;
 }
 
 unsigned
@@ -265,7 +300,7 @@ runExperiment(const ExpParams &p)
         tracer = std::make_unique<Tracer>(p.tracePath);
         engine.setTracer(tracer.get());
 #else
-        warn("--trace requested but tracing was compiled out "
+        warn("--trace-out requested but tracing was compiled out "
              "(-DDSSD_TRACE=OFF); no trace will be written");
 #endif
     }
@@ -532,6 +567,27 @@ runExperiment(const ExpParams &p)
     r.ioBreakdown = io_bd.mean();
     r.cbBreakdown = cb_bd.mean();
     return r;
+}
+
+std::vector<ExpResult>
+runTimed(const std::vector<ExpParams> &ps, const BenchOpts &o,
+         const std::function<std::string(const ExpParams &)> &label,
+         std::vector<double> &wall_ms)
+{
+    wall_ms.assign(ps.size(), 0.0);
+    if (!o.timing)
+        return runExperiments(ps, o.resolvedThreads());
+    std::vector<ExpResult> rs(ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        auto t0 = std::chrono::steady_clock::now();
+        rs[i] = runExperiment(ps[i]);
+        auto t1 = std::chrono::steady_clock::now();
+        wall_ms[i] =
+            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        std::fprintf(stderr, "[timing] %s: %.1f ms\n",
+                     label(ps[i]).c_str(), wall_ms[i]);
+    }
+    return rs;
 }
 
 void

@@ -8,7 +8,7 @@
  * shape-vs-paper, not value-vs-paper.
  *
  * All benches run a reduced geometry by default (identical ratios,
- * smaller capacity) and accept --full for the Table 1 geometry.
+ * smaller capacity); those that read --full take it for a larger one.
  *
  * Every experiment drives the device through one NvmeHost
  * (hil/nvme_host.hh): a single closed-loop tenant at
@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -43,7 +44,7 @@ namespace bench
 constexpr unsigned kMaxParallelism = 1024;
 
 /**
- * Strict numeric option value shared by BenchOpts::parse and dssd_sim:
+ * Strict numeric option value for the option-table setters:
  * @p text must be a plain decimal number, with no sign, no space and
  * nothing after it, inside [@p lo, @p hi]. Anything else is fatal,
  * naming @p flag.
@@ -57,7 +58,26 @@ std::uint64_t parseUnsignedOpt(
 double parseRealOpt(const char *flag, const char *text, double lo,
                     double hi, bool lo_open = false);
 
-/** Command-line options shared by all benches. */
+/** One flag of a program's option table. */
+struct Option
+{
+    const char *name; ///< e.g. "--seed"
+    const char *arg;  ///< value placeholder ("N"); nullptr for a switch
+    const char *help; ///< one usage line
+    /// Validates and stores the value (nullptr for a switch); a bad
+    /// value is fatal, naming the flag.
+    std::function<void(const char *)> set;
+};
+
+/**
+ * The one command-line parser of dssd_sim and every bench: applies
+ * argv[1..] in order through @p table, taking `--flag=V` and
+ * `--flag V`. An unknown flag, a missing value or a value given to a
+ * switch prints the usage text generated from @p table and exits 1.
+ */
+void parseOptions(int argc, char **argv, const std::vector<Option> &table);
+
+/** Command-line options of the benches. */
 struct BenchOpts
 {
     bool full = false;   ///< use the paper's full geometry
@@ -68,7 +88,7 @@ struct BenchOpts
     std::string json;
     /// When non-empty, the bench arms Chrome-trace emission on one
     /// representative experiment and writes the events here.
-    std::string trace;
+    std::string traceOut;
     /// When non-empty, the bench dumps that experiment's StatRegistry
     /// JSON here ("-" = stdout).
     std::string stats;
@@ -90,31 +110,28 @@ struct BenchOpts
     /// Emit wall-clock timings to stderr (and a timing series into
     /// --json). Stdout stays byte-identical with or without it.
     bool timing = false;
-    /// Array-level GC coordination policy override (benches that
-    /// sweep policies themselves, like fig19, ignore it).
-    ArrayGcPolicy arrayGc = ArrayGcPolicy::Uncoordinated;
-    /// Rotating-parity striping + degraded reads (shards >= 2).
-    bool parity = false;
     /// Multi-tenant host overrides (fig20): raw --tenants spec (see
     /// parseTenantSpec), empty = bench default tenant mix.
     std::string tenants;
-    /// --arbiter policy override (benches that sweep policies
-    /// themselves ignore it).
+    /// --arbiter policy override, validated by parseArbiterPolicy.
     std::string arbiter;
     /// --arrival spec override (see parseArrivalSpec).
     std::string arrival;
     /// --slo latency target override in microseconds (0 = bench
     /// default).
     double sloUs = 0.0;
-    /// --gc-policy / --alloc-policy overrides (benches that sweep the
-    /// policy zoo themselves, like fig21, ignore them). Empty = bench
-    /// default ("greedy" / "rr").
-    std::string gcPolicy;
-    std::string allocPolicy;
-    /// --gc-preempt: preemptible/partial GC rounds (see GcParams).
-    bool gcPreempt = false;
 
-    static BenchOpts parse(int argc, char **argv);
+    /** Parse a bench's argv, accepting only the flags it reads,
+     *  named in @p accepts (e.g. {"--seed", "--threads"}). */
+    static BenchOpts parse(int argc, char **argv,
+                           std::initializer_list<const char *> accepts);
+
+    /**
+     * The option-table entries of @p names, storing into this object.
+     * A name that BenchOpts has no flag for panics, so a typo fails on
+     * the first run.
+     */
+    std::vector<Option> options(std::initializer_list<const char *> names);
 
     /** Resolved thread count (never 0). */
     unsigned resolvedThreads() const;
@@ -311,6 +328,16 @@ ExpResult runExperiment(const ExpParams &p);
  */
 std::vector<ExpResult> runExperiments(const std::vector<ExpParams> &ps,
                                       unsigned threads);
+
+/**
+ * runExperiments on o.resolvedThreads() workers, or with --timing one
+ * point at a time, so each wall-clock time measures one experiment
+ * alone: it goes to stderr, labelled by @p label, and into @p wall_ms.
+ */
+std::vector<ExpResult>
+runTimed(const std::vector<ExpParams> &ps, const BenchOpts &o,
+         const std::function<std::string(const ExpParams &)> &label,
+         std::vector<double> &wall_ms);
 
 /**
  * Generic deterministic fan-out: invoke @p fn(i) for i in [0, n) on up

@@ -14,8 +14,7 @@ using namespace dssd::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
-    (void)o;
+    BenchOpts::parse(argc, argv, {});
     banner("Table 1", "simulation parameters");
 
     SsdConfig c = makeConfig(ArchKind::DSSDNoc, false);

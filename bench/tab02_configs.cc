@@ -14,8 +14,7 @@ using namespace dssd::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
-    (void)o;
+    BenchOpts::parse(argc, argv, {});
     banner("Table 2", "architecture configurations compared");
     std::printf("%-10s  %10s  %12s  %10s  %s\n", "name", "sys-bus",
                 "interconnect", "total", "description");

@@ -15,8 +15,7 @@ using namespace dssd::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOpts o = BenchOpts::parse(argc, argv);
-    (void)o;
+    BenchOpts::parse(argc, argv, {});
     banner("Sec 6.5", "dSSD hardware overhead");
 
     AreaParams p;

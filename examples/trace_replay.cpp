@@ -20,34 +20,16 @@
 
 using namespace dssd;
 
-namespace
-{
-
-ArchKind
-parseArch(const char *s)
-{
-    if (!std::strcmp(s, "baseline"))
-        return ArchKind::Baseline;
-    if (!std::strcmp(s, "bw"))
-        return ArchKind::BW;
-    if (!std::strcmp(s, "dssd"))
-        return ArchKind::DSSD;
-    if (!std::strcmp(s, "dssd_b"))
-        return ArchKind::DSSDBus;
-    if (!std::strcmp(s, "dssd_f"))
-        return ArchKind::DSSDNoc;
-    fatal("unknown arch '%s'", s);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     const char *trace = argc > 1 ? argv[1] : "prn_0";
-    ArchKind arch = argc > 2 ? parseArch(argv[2]) : ArchKind::DSSDNoc;
+    std::optional<ArchKind> arch =
+        argc > 2 ? parseArch(argv[2]) : ArchKind::DSSDNoc;
+    if (!arch)
+        fatal("unknown arch '%s'", argv[2]);
 
-    SsdConfig config = makeConfig(arch);
+    SsdConfig config = makeConfig(*arch);
     config.geom.ways = 4;
     config.geom.blocksPerPlane = 16;
     config.geom.pagesPerBlock = 16;
@@ -59,7 +41,7 @@ main(int argc, char **argv)
     if (std::strchr(trace, '/') || std::strstr(trace, ".txt")) {
         gen = std::make_unique<TraceFileLoader>(trace);
         std::printf("replaying trace file %s on %s\n", trace,
-                    archName(arch));
+                    archName(*arch));
     } else {
         TraceProfile prof = traceProfile(trace);
         std::uint64_t footprint =
@@ -70,7 +52,7 @@ main(int argc, char **argv)
                     trace, 100 * prof.readRatio,
                     static_cast<unsigned long long>(prof.writeBytes /
                                                     kKiB),
-                    archName(arch));
+                    archName(*arch));
     }
 
     NvmeHost host(

@@ -33,7 +33,7 @@
  *    attached to the host engine before construction is propagated
  *    to the shard engines through per-shard buffered Tracers that
  *    the group drains at every epoch barrier (EngineGroup::
- *    attachTracer), so --trace works for any worker count and the
+ *    attachTracer), so --trace-out works for any worker count and the
  *    trace file is byte-identical across counts.
  *
  * Array GC coordination (core/array_gc.hh): with any policy other

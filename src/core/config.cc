@@ -24,6 +24,22 @@ archName(ArchKind k)
     return "?";
 }
 
+std::optional<ArchKind>
+parseArch(const std::string &name)
+{
+    if (name == "baseline")
+        return ArchKind::Baseline;
+    if (name == "bw")
+        return ArchKind::BW;
+    if (name == "dssd")
+        return ArchKind::DSSD;
+    if (name == "dssd_b")
+        return ArchKind::DSSDBus;
+    if (name == "dssd_f")
+        return ArchKind::DSSDNoc;
+    return std::nullopt;
+}
+
 BytesPerTick
 SsdConfig::effectiveSystemBusBandwidth() const
 {

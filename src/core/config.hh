@@ -7,6 +7,7 @@
 #ifndef DSSD_CORE_CONFIG_HH
 #define DSSD_CORE_CONFIG_HH
 
+#include <optional>
 #include <string>
 
 #include "controller/channel.hh"
@@ -33,6 +34,10 @@ enum class ArchKind
 };
 
 const char *archName(ArchKind k);
+
+/** The architecture a command-line name selects:
+ *  baseline|bw|dssd|dssd_b|dssd_f; nullopt for any other name. */
+std::optional<ArchKind> parseArch(const std::string &name);
 
 /** Whether an architecture has decoupled controllers. */
 inline bool

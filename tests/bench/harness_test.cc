@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench/harness.hh"
@@ -160,18 +161,37 @@ TEST(BenchOptsTest, ParsesThreadsAndJsonInBothForms)
 {
     const char *argv1[] = {"bench", "--threads=7", "--json=/tmp/x.json",
                            "--seed=9"};
-    BenchOpts o1 = BenchOpts::parse(4, const_cast<char **>(argv1));
+    BenchOpts o1 = BenchOpts::parse(4, const_cast<char **>(argv1),
+                                    {"--seed", "--threads", "--json"});
     EXPECT_EQ(o1.threads, 7u);
     EXPECT_EQ(o1.json, "/tmp/x.json");
     EXPECT_EQ(o1.seed, 9u);
 
     const char *argv2[] = {"bench", "--threads", "3", "--json",
                            "out.json", "--full"};
-    BenchOpts o2 = BenchOpts::parse(6, const_cast<char **>(argv2));
+    BenchOpts o2 = BenchOpts::parse(6, const_cast<char **>(argv2),
+                                    {"--full", "--threads", "--json"});
     EXPECT_EQ(o2.threads, 3u);
     EXPECT_EQ(o2.json, "out.json");
     EXPECT_TRUE(o2.full);
     EXPECT_GE(o2.resolvedThreads(), 1u);
+}
+
+TEST(OptionTableTest, AppliesFlagsInOrderInBothValueForms)
+{
+    std::vector<std::string> seen;
+    std::vector<Option> table = {
+        {"--n", "N", "a number",
+         [&](const char *v) { seen.push_back(std::string("n:") + v); }},
+        {"--s", nullptr, "a switch",
+         [&](const char *v) {
+             EXPECT_EQ(v, nullptr);
+             seen.push_back("s");
+         }},
+    };
+    const char *argv[] = {"prog", "--n=3", "--s", "--n", "4", "--n="};
+    parseOptions(6, const_cast<char **>(argv), table);
+    EXPECT_EQ(seen, (std::vector<std::string>{"n:3", "s", "n:4", "n:"}));
 }
 
 TEST(OptionParseTest, AcceptsPlainNumbersInRange)
@@ -217,7 +237,9 @@ TEST(OptionParseDeathTest, BenchOptsRejectsBadNumbers)
 {
     auto parse = [](const char *arg) {
         const char *argv[] = {"bench", arg};
-        BenchOpts::parse(2, const_cast<char **>(argv));
+        BenchOpts::parse(2, const_cast<char **>(argv),
+                         {"--threads", "--shards", "--engine-threads",
+                          "--slo"});
     };
     EXPECT_EXIT(parse("--shards=0"), testing::ExitedWithCode(1),
                 "fatal: --shards needs ");
@@ -227,6 +249,37 @@ TEST(OptionParseDeathTest, BenchOptsRejectsBadNumbers)
                 "fatal: --threads needs ");
     EXPECT_EXIT(parse("--slo=0"), testing::ExitedWithCode(1),
                 "fatal: --slo needs ");
+}
+
+TEST(OptionParseDeathTest, FlagOutsideBenchListPrintsUsage)
+{
+    auto parse = [](std::vector<const char *> args) {
+        args.insert(args.begin(), "/path/to/bench_x");
+        BenchOpts::parse(static_cast<int>(args.size()),
+                         const_cast<char **>(args.data()),
+                         {"--full", "--seed"});
+    };
+    // The usage text lists exactly the bench's flags, then the error.
+    const std::string usage = "usage: bench_x \\[options\\]\n"
+                              "  --full +[^\n]+\n"
+                              "  --seed=N +[^\n]+\n"
+                              "fatal: ";
+    EXPECT_EXIT(parse({"--shards=2"}), testing::ExitedWithCode(1),
+                usage + "unknown option '--shards'");
+    // The old bench spelling of --trace-out is unknown everywhere.
+    EXPECT_EXIT(parse({"--trace", "t.json"}), testing::ExitedWithCode(1),
+                usage + "unknown option '--trace'");
+    EXPECT_EXIT(parse({"--full=1"}), testing::ExitedWithCode(1),
+                usage + "--full takes no value");
+    EXPECT_EXIT(parse({"--full", "--seed"}), testing::ExitedWithCode(1),
+                usage + "--seed needs a value");
+}
+
+TEST(OptionParseDeathTest, BenchListTypoPanics)
+{
+    const char *argv[] = {"bench"};
+    EXPECT_DEATH(BenchOpts::parse(1, const_cast<char **>(argv), {"--sed"}),
+                 "BenchOpts has no flag '--sed'");
 }
 
 TEST(JsonSeriesWriterTest, WritesOrderedSeries)

@@ -11,8 +11,9 @@ The script first deletes the tree's old .gcda counters, then runs every
 surface the repository ships:
 
   - the 22 figure, table and ablation benches at their default size,
-    with --threads 1: GCC uses atomic profile counters when -pthread is
-    given, and a sweep contending on them runs many times slower;
+    with --threads 1 where a bench takes it: GCC uses atomic profile
+    counters when -pthread is given, and a sweep contending on them
+    runs many times slower;
   - dssd_sim once per flag family (DSSD_SIM_RUNS below);
   - the five examples.
 
@@ -51,6 +52,10 @@ OBJECT_DIRS = ["src", "bench", "tools", "examples"]
 SKIPPED_TARGETS = ["bench_micro"]
 EXAMPLES = ["quickstart", "gc_interference", "global_copyback",
             "endurance_study", "trace_replay"]
+# Benches that run their points one by one and take no --threads.
+SERIAL_BENCHES = ["bench_abl_copyback", "bench_abl_dsm",
+                  "bench_tab01_config", "bench_tab02_configs",
+                  "bench_tab04_overhead"]
 
 # One dssd_sim run per flag family, at the default geometry over a
 # short window. {tmp} is the temporary directory the runs execute in.
@@ -79,8 +84,9 @@ def benches(build):
 
 def surfaces(build, tmp):
     """(label, argv) of every run, in order."""
-    runs = [(os.path.basename(b), [b, "--threads", "1"])
-            for b in benches(build)]
+    runs = [(os.path.basename(b), [b] + (
+        [] if os.path.basename(b) in SERIAL_BENCHES else ["--threads", "1"]))
+        for b in benches(build)]
     sim = os.path.join(build, "tools", "dssd_sim")
     for flags in DSSD_SIM_RUNS:
         args = [f.format(tmp=tmp) for f in flags]

@@ -13,12 +13,14 @@
  *   dssd_sim --arch=dssd_b --read-ratio=0.7 --random --buffer=real
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/harness.hh"
 
@@ -43,89 +45,6 @@ geometryOpt(const char *flag, const char *text)
         parseUnsignedOpt(flag, text, 1, 65536));
 }
 
-[[noreturn]] void
-usage()
-{
-    std::printf(
-        "usage: dssd_sim [options]\n"
-        "  --arch=A        baseline|bw|dssd|dssd_b|dssd_f (default dssd_f)\n"
-        "  --policy=P      pagc|preemptive|tinytail (default pagc)\n"
-        "  --gc-policy=P   victim selection: greedy|costbenefit|windowed\n"
-        "                  (default greedy)\n"
-        "  --alloc-policy=P  host-write allocation: rr|conflict\n"
-        "                  (default rr)\n"
-        "  --gc-preempt    preemptible/partial GC rounds\n"
-        "  --trace=NAME    replay a named trace profile (prn_0, ...)\n"
-        "  --req-kb=N      synthetic request size in KB (default 4)\n"
-        "  --read-ratio=R  fraction of reads (default 0)\n"
-        "  --random        random offsets (default sequential)\n"
-        "  --buffer=B      real|hit|miss (default miss)\n"
-        "  --qd=N          queue depth (default 64)\n"
-        "  --tenants=SPEC  multi-tenant host front-end: a count or\n"
-        "                  ';'-separated \"qd:N,w:N,prio:N,rate:B,\n"
-        "                  burst:B,slo:US,name:S\" groups\n"
-        "  --arbiter=P     submission-queue arbitration: rr|wrr|prio\n"
-        "                  (default rr; needs --tenants)\n"
-        "  --arrival=SPEC  open-loop arrivals for every tenant:\n"
-        "                  closed | poisson:IOPS | pareto:IOPS[:ALPHA]\n"
-        "                  [,diurnal:AMP[:PERIOD_MS]]\n"
-        "                  [,burst:FACTOR[:ON_MS[:OFF_MS]]]\n"
-        "  --slo=US        per-tenant latency SLO target in us\n"
-        "                  (tenants with slo:0 inherit it)\n"
-        "  --shards=N      run an N-shard SsdArray front-end (default 1)\n"
-        "  --engine-threads=N  per-shard engines under the conservative\n"
-        "                  engine group with N workers (0 = one shared\n"
-        "                  engine; any N >= 1 is bit-identical to N=1)\n"
-        "  --array-gc=P    array GC coordination policy: uncoordinated|\n"
-        "                  staggered|token|greedy (default uncoordinated)\n"
-        "  --parity        rotating-parity striping + degraded reads\n"
-        "                  (needs --shards >= 2)\n"
-        "  --window-ms=N   measurement window, whole ms (default 30)\n"
-        "  --channels=N --ways=N --planes=N   geometry (8/4/8)\n"
-        "  --blocks=N --pages=N               per-plane geometry (16/16)\n"
-        "  --tlc           TLC timing and 16 KB pages (default ULL)\n"
-        "  --topology=T    mesh|ring|crossbar for dSSD_f (default mesh)\n"
-        "  --factor=F      on-chip bandwidth factor (default 1.25)\n"
-        "  --no-gc         do not force GC during the window\n"
-        "  --srt-remaps=N  pre-populate N SRT remaps per channel\n"
-        "  --faults        enable the fault-injection model\n"
-        "  --fault-seed=N  fault-model RNG seed (implies --faults)\n"
-        "  --rber-scale=F  scale raw-bit-error severity (implies --faults)\n"
-        "  --seed=N\n"
-        "  --seeds=N       replicate over seeds seed..seed+N-1\n"
-        "  --threads=N     worker threads for --seeds (default: all)\n"
-        "  --trace-out=F   write a Chrome trace_event JSON of the run\n"
-        "  --stats=F       dump the stat registry as JSON (- = stdout)\n");
-    std::exit(1);
-}
-
-bool
-flagValue(const char *arg, const char *name, const char **out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        *out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
-ArchKind
-parseArch(const std::string &s)
-{
-    if (s == "baseline")
-        return ArchKind::Baseline;
-    if (s == "bw")
-        return ArchKind::BW;
-    if (s == "dssd")
-        return ArchKind::DSSD;
-    if (s == "dssd_b")
-        return ArchKind::DSSDBus;
-    if (s == "dssd_f")
-        return ArchKind::DSSDNoc;
-    fatal("unknown arch '%s'", s.c_str());
-}
-
 GcPolicy
 parsePolicy(const std::string &s)
 {
@@ -135,7 +54,7 @@ parsePolicy(const std::string &s)
         return GcPolicy::Preemptive;
     if (s == "tinytail")
         return GcPolicy::TinyTail;
-    fatal("unknown policy '%s'", s.c_str());
+    fatal("--policy needs pagc|preemptive|tinytail, got '%s'", s.c_str());
 }
 
 BufferMode
@@ -147,7 +66,7 @@ parseBuffer(const std::string &s)
         return BufferMode::AlwaysHit;
     if (s == "miss")
         return BufferMode::AlwaysMiss;
-    fatal("unknown buffer mode '%s'", s.c_str());
+    fatal("--buffer needs real|hit|miss, got '%s'", s.c_str());
 }
 
 } // namespace
@@ -158,140 +77,161 @@ main(int argc, char **argv)
     ExpParams p;
     p.arch = ArchKind::DSSDNoc;
     std::string trace;
-    std::string tenants_spec;
-    std::string arrival_spec;
-    double slo_us = 0.0;
+    std::string topology;
+    std::optional<ArrayGcPolicy> array_gc;
     unsigned seeds = 1;
-    unsigned threads = 0;
+    // The flags the benches take too: parsed into BenchOpts, then
+    // copied into the experiment.
+    BenchOpts o;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *v = nullptr;
-        if (flagValue(argv[i], "--arch", &v))
-            p.arch = parseArch(v);
-        else if (flagValue(argv[i], "--policy", &v))
-            p.gcPolicy = parsePolicy(v);
-        else if (flagValue(argv[i], "--gc-policy", &v)) {
-            if (!isVictimPolicy(v))
-                fatal("unknown --gc-policy '%s' (supported: greedy "
-                      "costbenefit windowed)",
-                      v);
-            p.victimPolicy = v;
-        } else if (flagValue(argv[i], "--alloc-policy", &v)) {
-            if (!isAllocPolicy(v))
-                fatal("unknown --alloc-policy '%s' (supported: rr "
-                      "conflict)",
-                      v);
-            p.allocPolicy = v;
-        } else if (std::strcmp(argv[i], "--gc-preempt") == 0)
-            p.gcPreempt = true;
-        else if (flagValue(argv[i], "--trace", &v))
-            trace = v;
-        else if (flagValue(argv[i], "--req-kb", &v))
-            p.requestBytes = parseUnsignedOpt("--req-kb", v, 1, kMiB) * kKiB;
-        else if (flagValue(argv[i], "--read-ratio", &v))
-            p.readRatio = parseRealOpt("--read-ratio", v, 0.0, 1.0);
-        else if (std::strcmp(argv[i], "--random") == 0)
-            p.sequential = false;
-        else if (flagValue(argv[i], "--buffer", &v))
-            p.bufferMode = parseBuffer(v);
-        else if (flagValue(argv[i], "--qd", &v))
-            p.queueDepth = static_cast<unsigned>(
-                parseUnsignedOpt("--qd", v, 1, kMaxQueueDepth));
-        else if (flagValue(argv[i], "--tenants", &v))
-            tenants_spec = v;
-        else if (flagValue(argv[i], "--arbiter", &v)) {
-            auto policy = parseArbiterPolicy(v);
-            if (!policy)
-                fatal("unknown --arbiter policy '%s' (supported: rr "
-                      "wrr prio)",
-                      v);
-            p.arbiter = *policy;
-        } else if (flagValue(argv[i], "--arrival", &v))
-            arrival_spec = v;
-        else if (flagValue(argv[i], "--slo", &v))
-            slo_us = parseRealOpt("--slo", v, 0.0, INFINITY, true);
-        else if (flagValue(argv[i], "--shards", &v))
-            p.shards = static_cast<unsigned>(
-                parseUnsignedOpt("--shards", v, 1, kMaxParallelism));
-        else if (flagValue(argv[i], "--array-gc", &v)) {
-            auto policy = parseArrayGcPolicy(v);
-            if (!policy) {
-                fatal("unknown --array-gc policy '%s' (supported: "
-                      "uncoordinated staggered token greedy)",
-                      v);
-            }
-            p.arrayGc = *policy;
-        } else if (std::strcmp(argv[i], "--parity") == 0)
-            p.parity = true;
-        else if (flagValue(argv[i], "--engine-threads", &v))
-            p.engineThreads = static_cast<unsigned>(
-                parseUnsignedOpt("--engine-threads", v, 0, kMaxParallelism));
-        else if (flagValue(argv[i], "--window-ms", &v))
-            p.window = msToTicks(static_cast<double>(
-                parseUnsignedOpt("--window-ms", v, 1, kMaxWindowMs)));
-        else if (flagValue(argv[i], "--channels", &v))
-            p.channels = geometryOpt("--channels", v);
-        else if (flagValue(argv[i], "--ways", &v))
-            p.ways = geometryOpt("--ways", v);
-        else if (flagValue(argv[i], "--planes", &v))
-            p.planes = geometryOpt("--planes", v);
-        else if (flagValue(argv[i], "--blocks", &v))
-            p.blocksPerPlane = geometryOpt("--blocks", v);
-        else if (flagValue(argv[i], "--pages", &v))
-            p.pagesPerBlock = geometryOpt("--pages", v);
-        else if (std::strcmp(argv[i], "--tlc") == 0)
-            p.tlc = true;
-        else if (flagValue(argv[i], "--topology", &v))
-            p.nocTopology = v;
-        else if (flagValue(argv[i], "--factor", &v))
-            p.onChipFactor = parseRealOpt("--factor", v, 0.0, INFINITY, true);
-        else if (std::strcmp(argv[i], "--no-gc") == 0)
-            p.runGc = false;
-        else if (flagValue(argv[i], "--srt-remaps", &v))
-            p.srtRemapsPerChannel = static_cast<unsigned>(
-                parseUnsignedOpt("--srt-remaps", v, 0, UINT32_MAX));
-        else if (std::strcmp(argv[i], "--faults") == 0)
-            p.fault.enabled = true;
-        else if (flagValue(argv[i], "--fault-seed", &v)) {
-            p.fault.enabled = true;
-            p.fault.seed = parseUnsignedOpt("--fault-seed", v, 0);
-        } else if (flagValue(argv[i], "--rber-scale", &v)) {
-            p.fault.enabled = true;
-            p.fault.rberScale =
-                parseRealOpt("--rber-scale", v, 0.0, INFINITY);
-        }
-        else if (flagValue(argv[i], "--trace-out", &v))
-            p.tracePath = v;
-        else if (flagValue(argv[i], "--stats", &v))
-            p.statsPath = v;
-        else if (flagValue(argv[i], "--seeds", &v))
-            seeds = static_cast<unsigned>(
-                parseUnsignedOpt("--seeds", v, 1, kMaxSeeds));
-        else if (flagValue(argv[i], "--seed", &v))
-            p.seed = parseUnsignedOpt("--seed", v, 0);
-        else if (flagValue(argv[i], "--threads", &v))
-            threads = static_cast<unsigned>(
-                parseUnsignedOpt("--threads", v, 0, kMaxParallelism));
-        else
-            usage();
+    std::vector<Option> table = {
+        {"--arch", "A", "baseline|bw|dssd|dssd_b|dssd_f (default dssd_f)",
+         [&](const char *v) {
+             auto arch = parseArch(v);
+             if (!arch)
+                 fatal("--arch needs baseline|bw|dssd|dssd_b|dssd_f, "
+                       "got '%s'", v);
+             p.arch = *arch;
+         }},
+        {"--policy", "P", "GC scheduling: pagc|preemptive|tinytail",
+         [&](const char *v) { p.gcPolicy = parsePolicy(v); }},
+        {"--gc-policy", "P", "victim selection: greedy|costbenefit|windowed",
+         [&](const char *v) {
+             if (!isVictimPolicy(v))
+                 fatal("--gc-policy needs greedy|costbenefit|windowed, "
+                       "got '%s'", v);
+             p.victimPolicy = v;
+         }},
+        {"--alloc-policy", "P", "host-write allocation: rr|conflict",
+         [&](const char *v) {
+             if (!isAllocPolicy(v))
+                 fatal("--alloc-policy needs rr|conflict, got '%s'", v);
+             p.allocPolicy = v;
+         }},
+        {"--gc-preempt", nullptr, "preemptible/partial GC rounds",
+         [&](const char *) { p.gcPreempt = true; }},
+        {"--trace", "NAME", "replay a named trace profile (prn_0, ...)",
+         [&](const char *v) { trace = v; }},
+        {"--req-kb", "N", "synthetic request size in KB (default 4)",
+         [&](const char *v) {
+             p.requestBytes = parseUnsignedOpt("--req-kb", v, 1, kMiB) * kKiB;
+         }},
+        {"--read-ratio", "R", "fraction of reads (default 0)",
+         [&](const char *v) {
+             p.readRatio = parseRealOpt("--read-ratio", v, 0.0, 1.0);
+         }},
+        {"--random", nullptr, "random offsets (default sequential)",
+         [&](const char *) { p.sequential = false; }},
+        {"--buffer", "B", "real|hit|miss (default miss)",
+         [&](const char *v) { p.bufferMode = parseBuffer(v); }},
+        {"--qd", "N", "queue depth (default 64)",
+         [&](const char *v) {
+             p.queueDepth = static_cast<unsigned>(
+                 parseUnsignedOpt("--qd", v, 1, kMaxQueueDepth));
+         }},
+        {"--array-gc", "P", "array GC: uncoordinated|staggered|token|greedy",
+         [&](const char *v) {
+             array_gc = parseArrayGcPolicy(v);
+             if (!array_gc)
+                 fatal("--array-gc needs uncoordinated|staggered|token|"
+                       "greedy, got '%s'", v);
+         }},
+        {"--parity", nullptr, "rotating-parity striping + degraded reads",
+         [&](const char *) { p.parity = true; }},
+        {"--window-ms", "N", "measurement window, whole ms (default 30)",
+         [&](const char *v) {
+             p.window = msToTicks(static_cast<double>(
+                 parseUnsignedOpt("--window-ms", v, 1, kMaxWindowMs)));
+         }},
+        {"--channels", "N", "channels (default 8)",
+         [&](const char *v) { p.channels = geometryOpt("--channels", v); }},
+        {"--ways", "N", "ways per channel (default 4)",
+         [&](const char *v) { p.ways = geometryOpt("--ways", v); }},
+        {"--planes", "N", "planes per die (default 8)",
+         [&](const char *v) { p.planes = geometryOpt("--planes", v); }},
+        {"--blocks", "N", "blocks per plane (default 16)",
+         [&](const char *v) {
+             p.blocksPerPlane = geometryOpt("--blocks", v);
+         }},
+        {"--pages", "N", "pages per block (default 16)",
+         [&](const char *v) { p.pagesPerBlock = geometryOpt("--pages", v); }},
+        {"--tlc", nullptr, "TLC timing and 16 KB pages (default ULL)",
+         [&](const char *) { p.tlc = true; }},
+        {"--topology", "T", "dSSD_f's fNoC: mesh|ring|crossbar (default mesh)",
+         [&](const char *v) {
+             topology = v;
+             if (topology != "mesh" && topology != "ring" &&
+                 topology != "crossbar")
+                 fatal("--topology needs mesh|ring|crossbar, got '%s'", v);
+         }},
+        {"--factor", "F", "on-chip bandwidth factor (default 1.25)",
+         [&](const char *v) {
+             p.onChipFactor = parseRealOpt("--factor", v, 0.0, INFINITY, true);
+         }},
+        {"--no-gc", nullptr, "do not force GC during the window",
+         [&](const char *) { p.runGc = false; }},
+        {"--srt-remaps", "N", "pre-populate N SRT remaps per channel",
+         [&](const char *v) {
+             p.srtRemapsPerChannel = static_cast<unsigned>(
+                 parseUnsignedOpt("--srt-remaps", v, 0, UINT32_MAX));
+         }},
+        {"--rber-scale", "F", "scale raw-bit-error rates (implies --faults)",
+         [&](const char *v) {
+             p.fault.enabled = true;
+             p.fault.rberScale =
+                 parseRealOpt("--rber-scale", v, 0.0, INFINITY);
+         }},
+        {"--seeds", "N", "replicate over seeds seed..seed+N-1",
+         [&](const char *v) {
+             seeds = static_cast<unsigned>(
+                 parseUnsignedOpt("--seeds", v, 1, kMaxSeeds));
+         }},
+    };
+    std::vector<Option> shared = o.options(
+        {"--seed", "--threads", "--trace-out", "--stats", "--faults",
+         "--fault-seed", "--shards", "--engine-threads", "--tenants",
+         "--arbiter", "--arrival", "--slo"});
+    table.insert(table.end(), shared.begin(), shared.end());
+    parseOptions(argc, argv, table);
+
+    // A flag whose precondition is missing would change nothing.
+    const std::pair<bool, const char *> unmet[] = {
+        {!o.arbiter.empty() && o.tenants.empty(), "--arbiter needs --tenants"},
+        {!o.arrival.empty() && o.tenants.empty(), "--arrival needs --tenants"},
+        {o.sloUs > 0.0 && o.tenants.empty(), "--slo needs --tenants"},
+        {p.parity && o.shards < 2, "--parity needs --shards >= 2"},
+        {array_gc && o.shards < 2, "--array-gc needs --shards >= 2"},
+        {!topology.empty() && p.arch != ArchKind::DSSDNoc,
+         "--topology needs --arch=dssd_f"},
+    };
+    for (const auto &[missing, message] : unmet)
+        if (missing)
+            fatal("%s", message);
+
+    p.seed = o.seed;
+    p.tracePath = o.traceOut;
+    p.statsPath = o.stats;
+    if (o.faults) {
+        p.fault.enabled = true;
+        p.fault.seed = o.faultSeed;
     }
+    p.shards = std::max(1u, o.shards);
+    p.engineThreads = o.engineThreads;
+    p.arrayGc = array_gc.value_or(p.arrayGc);
+    if (!topology.empty())
+        p.nocTopology = topology;
     if (!trace.empty())
         p.traceName = trace.c_str();
-
-    if (!tenants_spec.empty()) {
-        auto ts = parseTenantSpec(tenants_spec);
-        if (!ts)
-            fatal("bad --tenants spec '%s'", tenants_spec.c_str());
+    if (!o.tenants.empty()) {
+        if (!o.arbiter.empty())
+            p.arbiter = *parseArbiterPolicy(o.arbiter);
         ArrivalParams ap;
-        if (!arrival_spec.empty()) {
-            auto parsed = parseArrivalSpec(arrival_spec);
-            if (!parsed)
-                fatal("bad --arrival spec '%s'", arrival_spec.c_str());
-            ap = *parsed;
-        }
-        for (TenantParams &t : *ts) {
+        if (!o.arrival.empty())
+            ap = *parseArrivalSpec(o.arrival);
+        std::vector<TenantParams> ts = *parseTenantSpec(o.tenants);
+        for (TenantParams &t : ts) {
             if (t.sloTargetUs == 0.0)
-                t.sloTargetUs = slo_us;
+                t.sloTargetUs = o.sloUs;
             HostTenant ht;
             ht.tenant = t;
             ht.readRatio = p.readRatio;
@@ -300,8 +240,6 @@ main(int argc, char **argv)
             ht.arrival = ap;
             p.hostTenants.push_back(ht);
         }
-    } else if (!arrival_spec.empty() || slo_us > 0.0) {
-        fatal("--arrival/--slo need --tenants");
     }
 
     if (seeds > 1) {
@@ -317,7 +255,7 @@ main(int argc, char **argv)
                 ps[i].statsPath.clear();
             }
         }
-        std::vector<ExpResult> rs = runExperiments(ps, threads);
+        std::vector<ExpResult> rs = runExperiments(ps, o.threads);
         std::printf("dssd_sim: %s, %u seeds starting at %llu\n",
                     archName(p.arch), seeds,
                     static_cast<unsigned long long>(p.seed));
@@ -360,8 +298,7 @@ main(int argc, char **argv)
     if (!p.hostTenants.empty()) {
         std::printf("host: %zu tenants, arbiter %s, arrival %s\n",
                     p.hostTenants.size(), arbiterPolicyName(p.arbiter),
-                    arrival_spec.empty() ? "closed"
-                                         : arrival_spec.c_str());
+                    o.arrival.empty() ? "closed" : o.arrival.c_str());
     }
 
     ExpResult r = runExperiment(p);

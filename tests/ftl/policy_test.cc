@@ -1,7 +1,7 @@
 /**
  * Unit tests for the pluggable GC victim-selection and allocation
  * policies (ftl/policy.hh). Every name in the factory registry is
- * exercised here — lint rule R11 cross-checks the registry against
+ * exercised here — dssd_lint rule R7 cross-checks the registry against
  * this fixture.
  */
 

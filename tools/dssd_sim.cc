@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -192,7 +193,17 @@ main(int argc, char **argv)
          "--fault-seed", "--shards", "--engine-threads", "--tenants",
          "--arbiter", "--arrival", "--slo"});
     table.insert(table.end(), shared.begin(), shared.end());
+    // The flags this run names, for the precondition checks below.
+    std::set<std::string> given;
+    for (Option &opt : table) {
+        opt.set = [&given, name = opt.name,
+                   set = std::move(opt.set)](const char *v) {
+            given.insert(name);
+            set(v);
+        };
+    }
     parseOptions(argc, argv, table);
+    auto has = [&given](const char *flag) { return given.count(flag) > 0; };
 
     // A flag whose precondition is missing would change nothing.
     const std::pair<bool, const char *> unmet[] = {
@@ -203,6 +214,24 @@ main(int argc, char **argv)
         {array_gc && o.shards < 2, "--array-gc needs --shards >= 2"},
         {!topology.empty() && p.arch != ArchKind::DSSDNoc,
          "--topology needs --arch=dssd_f"},
+        // Baseline has no on-chip bandwidth to scale.
+        {has("--factor") && p.arch == ArchKind::Baseline,
+         "--factor needs --arch=bw|dssd|dssd_b|dssd_f"},
+        {has("--srt-remaps") && !isDecoupled(p.arch),
+         "--srt-remaps needs --arch=dssd|dssd_b|dssd_f"},
+        {has("--threads") && seeds < 2, "--threads needs --seeds >= 2"},
+        // A trace replaces the synthetic stream; tenants replace both
+        // the trace and the single closed-loop queue.
+        {has("--req-kb") && !trace.empty(),
+         "--req-kb needs a synthetic workload, not --trace"},
+        {has("--read-ratio") && !trace.empty(),
+         "--read-ratio needs a synthetic workload, not --trace"},
+        {has("--random") && !trace.empty(),
+         "--random needs a synthetic workload, not --trace"},
+        {has("--qd") && !o.tenants.empty(),
+         "--qd needs the single host queue, not --tenants"},
+        {!trace.empty() && !o.tenants.empty(),
+         "--trace needs the single host queue, not --tenants"},
     };
     for (const auto &[missing, message] : unmet)
         if (missing)

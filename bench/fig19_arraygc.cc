@@ -16,11 +16,11 @@
  * Every point runs the same forced-GC interference loop the other
  * figures use, so GC pressure persists over the whole window. The
  * whole sweep is deterministic: stdout, --json and --stats are
- * byte-identical for any engine-group worker count (1 = serial
- * reference, CI diffs 1 vs 8, as for fig18); --engine-threads=0 is
- * the legacy shared-engine timing model, where the scheduler still
- * makes the same grant decisions (unit-tested) but same-tick I/O
- * interleavings — and hence percentiles — legitimately differ.
+ * byte-identical run to run (CI diffs two runs). --engine-threads=1
+ * runs the engine group; 0 (the default) is the legacy shared-engine
+ * timing model, where the scheduler still makes the same grant
+ * decisions (unit-tested) but same-tick I/O interleavings — and
+ * hence percentiles — legitimately differ.
  */
 
 #include <cstdio>

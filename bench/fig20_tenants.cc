@@ -25,11 +25,9 @@
  * arbitration — not the queues — decides admission order.
  *
  * Determinism: stdout, --json and --stats are byte-identical run to
- * run and for any --engine-threads value. The host front-end requires
- * the engine-group completion order, so --engine-threads=0 (the
- * legacy shared-engine path) is normalized to 1 here: every point
- * runs the SsdArray front-end, where 1 worker is the serial reference
- * and any N >= 1 is bit-identical to it (CI diffs 0 vs 1 vs 8).
+ * run. Every point runs the SsdArray front-end under the engine
+ * group, whose completion order the host front-end's figures were
+ * recorded with, so the bench takes no --engine-threads.
  *
  * Overrides: --arbiter pins one policy, --slo retargets every
  * tenant's latency SLO, --arrival replaces the sweep's per-tenant
@@ -77,10 +75,8 @@ baseParams(const BenchOpts &o)
     p.pagesPerBlock = 16;
     p.bufferMode = BufferMode::Real;
     p.shards = 1;
-    // Host front-end points always run the SsdArray/engine-group
-    // path: 0 (legacy shared engine) normalizes to the 1-worker
-    // serial reference so output is byte-identical for any value.
-    p.engineThreads = std::max(1u, o.engineThreads);
+    // Host front-end points always run the SsdArray/engine-group path.
+    p.engineThreads = 1;
     p.hostDeviceDepth = kDeviceDepth;
     p.window = 10 * tickMs;
     p.seed = o.seed;
@@ -108,8 +104,7 @@ main(int argc, char **argv)
     BenchOpts o = BenchOpts::parse(
         argc, argv,
         {"--full", "--seed", "--threads", "--json", "--trace-out", "--stats",
-         "--engine-threads", "--timing", "--tenants", "--arbiter", "--arrival",
-         "--slo"});
+         "--timing", "--tenants", "--arbiter", "--arrival", "--slo"});
     JsonSeriesWriter json;
     banner("Fig 20",
            "multi-tenant SLO compliance vs open-loop load");
@@ -212,9 +207,9 @@ main(int argc, char **argv)
     }
 
     auto label = [](const ExpParams &p) {
-        return strformat("%s %s %zu tenants engine-threads=%u",
-                         archName(p.arch), arbiterPolicyName(p.arbiter),
-                         p.hostTenants.size(), p.engineThreads);
+        return strformat("%s %s %zu tenants", archName(p.arch),
+                         arbiterPolicyName(p.arbiter),
+                         p.hostTenants.size());
     };
     std::vector<double> wall_ms;
     std::vector<ExpResult> rs = runTimed(ps, o, label, wall_ms);

@@ -20,8 +20,7 @@
  *    while host I/O is outstanding, which is where the p99.9 moves.
  *
  * The sweep is deterministic: stdout, --json and --stats are
- * byte-identical for any engine-group worker count >= 1 (CI diffs
- * --engine-threads=1 vs 8 and double-runs the default).
+ * byte-identical run to run (CI double-runs the default).
  */
 
 #include <cstdio>

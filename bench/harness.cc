@@ -152,9 +152,11 @@ BenchOpts::options(std::initializer_list<const char *> names)
              shards = parallelism("--shards", v, 1);
          }},
         {"--engine-threads", "N",
-         "per-shard engines, N group workers (0 = one shared engine)",
-         [this, parallelism](const char *v) {
-             engineThreads = parallelism("--engine-threads", v, 0);
+         "1 = per-shard engines under the engine group, 0 = one shared "
+         "engine",
+         [this](const char *v) {
+             engineThreads = static_cast<unsigned>(
+                 parseUnsignedOpt("--engine-threads", v, 0, 1));
          }},
         {"--timing", nullptr,
          "print wall-clock timings to stderr (stdout is unchanged)",

@@ -38,9 +38,9 @@ namespace dssd
 namespace bench
 {
 
-/// Ceiling on --threads, --engine-threads and --shards: above any
-/// host this runs on, low enough that a typo cannot ask for millions
-/// of threads or shards.
+/// Ceiling on --threads and --shards: above any host this runs on,
+/// low enough that a typo cannot ask for millions of threads or
+/// shards.
 constexpr unsigned kMaxParallelism = 1024;
 
 /**
@@ -101,11 +101,9 @@ struct BenchOpts
     /// Override the bench's shard count (0 = bench default; fig18
     /// sweeps its own counts and ignores this).
     unsigned shards = 0;
-    /// Per-experiment engine-group workers: 0 runs every shard on one
-    /// shared engine (the pre-group serial path); >= 1 gives each
-    /// shard its own engine under the conservative EngineGroup, with
-    /// that many worker threads (1 = serial reference; any N is
-    /// bit-identical to it).
+    /// Per-experiment engine mode: 0 runs every shard on one shared
+    /// engine; 1 gives each shard its own engine under the
+    /// conservative EngineGroup.
     unsigned engineThreads = 0;
     /// Emit wall-clock timings to stderr (and a timing series into
     /// --json). Stdout stays byte-identical with or without it.
@@ -189,8 +187,8 @@ struct ExpParams
     /// Shard count (Fig 18). 1 runs a plain Ssd — bit-identical to the
     /// pre-array harness; >1 runs an SsdArray with modulo sharding.
     unsigned shards = 1;
-    /// Engine-group workers (see BenchOpts::engineThreads). Any value
-    /// > 0 forces the SsdArray front-end even at shards == 1.
+    /// Engine mode (see BenchOpts::engineThreads). Nonzero forces the
+    /// SsdArray front-end even at shards == 1.
     unsigned engineThreads = 0;
     /// Array-level GC coordination policy (fig19; needs shards > 1 to
     /// matter). Uncoordinated keeps today's per-shard behavior.

@@ -28,18 +28,17 @@ SsdArray::SsdArray(Engine &engine, const SsdConfig &config,
         // The firmware fan-out latency is the minimum host-to-shard
         // delay, so it is the group's conservative lookahead.
         _group = std::make_unique<EngineGroup>(engine, _params.shards,
-                                               config.firmwareLatency,
-                                               _params.engineThreads);
-        // Route shard-engine trace emissions through per-shard
-        // buffers merged at the epoch barriers (sim/trace.hh); must
-        // happen before the shard Ssds register their tracks below.
-        if (engine.tracer())
-            _group->attachTracer(engine.tracer());
+                                               config.firmwareLatency);
     }
     _shards.reserve(_params.shards);
     for (unsigned s = 0; s < _params.shards; ++s) {
         SsdConfig cfg = config;
         cfg.seed = config.seed + s;
+        if (_group) {
+            // Shard tracks register at construction, so the shard
+            // engine needs the host's tracer before its Ssd exists.
+            _group->shardEngine(s).setTracer(engine.tracer());
+        }
         Engine &shard_engine = _group ? _group->shardEngine(s) : engine;
         _shards.push_back(std::make_unique<Ssd>(shard_engine, cfg));
     }
@@ -106,7 +105,7 @@ SsdArray::deliverGrant(unsigned s)
     }
     // Legacy mode charges the same firmware latency the group pays
     // through postToShard, keeping the coordinated schedule identical
-    // across engineThreads counts.
+    // in both engine modes.
     _engine.schedule(config().firmwareLatency, [this, s] {
         _shards[s]->gc().grantCollection();
     });
@@ -232,7 +231,7 @@ SsdArray::dispatchRead(unsigned s, Lpn lpn, Callback done)
         return;
     }
     // Charge the same firmware fan-out latency group mode pays, so
-    // parity timing is identical across engineThreads counts.
+    // parity timing is identical in both engine modes.
     _engine.schedule(config().firmwareLatency,
                      [this, s, lpn, cb = std::move(done)] {
                          _shards[s]->readPage(lpn, cb);
@@ -266,7 +265,7 @@ SsdArray::parityRead(Lpn lpn, Callback done)
     // Degraded read: while the data shard holds a GC grant, read the
     // stripe's N-1 peer pages (data siblings + parity) instead and
     // reconstruct. The grant state is host-owned, so the decision is
-    // deterministic for any worker count. The parity shard is never
+    // the same in both engine modes. The parity shard is never
     // the data shard, so reconstruction is always possible.
     if (!coordinated() || !_gcSched->granted(s)) {
         dispatchRead(s, stripe, std::move(done));
@@ -458,8 +457,8 @@ SsdArray::forceAllGc(unsigned victims_per_unit, Callback done)
     for (unsigned s = 0; s < _shards.size(); ++s) {
         if (coordinated()) {
             // Mirror group mode's postToShard charge so a coordinated
-            // array's forced rounds land at the same ticks for
-            // engineThreads 0 and >= 1.
+            // array's forced rounds land at the same ticks in both
+            // engine modes.
             _engine.schedule(config().firmwareLatency,
                              [this, s, victims_per_unit, shard_done] {
                                  _shards[s]->gc().forceAll(

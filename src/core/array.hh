@@ -20,29 +20,25 @@
  *  - 0 (legacy): every shard shares the caller's engine; the caller
  *    drives that engine directly (run()/runUntil()). Fan-out is an
  *    ordinary event at +firmwareLatency.
- *  - >= 1 (engine group): each shard owns a private Engine inside a
- *    conservatively-synchronized EngineGroup (sim/engine_group.hh);
+ *  - nonzero (engine group): each shard owns a private Engine inside
+ *    a conservatively-synchronized EngineGroup (sim/engine_group.hh);
  *    fan-out becomes cross-engine message posting with the firmware
  *    latency as the lookahead, and completions merge back into the
  *    host engine deterministically. The caller must drive the array
  *    through SsdArray::run()/runUntil() so the group's epoch protocol
- *    runs; 1 is the serial reference and any higher count is
- *    bit-identical to it by construction. In this mode the
- *    page-granular readPage/writePage also charge the firmware
- *    fan-out latency (the group's lookahead floor). A tracer
- *    attached to the host engine before construction is propagated
- *    to the shard engines through per-shard buffered Tracers that
- *    the group drains at every epoch barrier (EngineGroup::
- *    attachTracer), so --trace-out works for any worker count and the
- *    trace file is byte-identical across counts.
+ *    runs. In this mode the page-granular readPage/writePage also
+ *    charge the firmware fan-out latency (the group's lookahead
+ *    floor). A tracer attached to the host engine before construction
+ *    is handed to every shard engine, so one trace file holds the
+ *    whole array.
  *
  * Array GC coordination (core/array_gc.hh): with any policy other
  * than Uncoordinated — or whenever parity is on — the array installs
  * GcCoordinationHooks on every shard's GcEngine and arbitrates
  * collection grants on the host engine. Legacy mode then charges the
  * same firmware latency on the grant/force paths that group mode pays
- * through postToShard, so the coordinated schedule is identical for
- * engineThreads 0 and >= 1.
+ * through postToShard, so the coordinated schedule is identical in
+ * both modes.
  *
  * Parity (params.parity, Modulo sharding, N >= 2 shards): RAID-5
  * style rotating parity. Stripe g holds one page at local LPN g on
@@ -81,12 +77,8 @@ struct SsdArrayParams
 {
     unsigned shards = 1;
     ShardingKind sharding = ShardingKind::Modulo;
-    /**
-     * 0: all shards share the caller's engine (legacy serial mode).
-     * >= 1: per-shard engines under an EngineGroup, with this many
-     * worker threads running the shard phases (clamped to the shard
-     * count; 1 keeps everything on the calling thread).
-     */
+    /** 0: all shards share the caller's engine. Nonzero: per-shard
+     *  engines under an EngineGroup. */
     unsigned engineThreads = 0;
     /** Array-level GC scheduling (see core/array_gc.hh). */
     ArrayGcParams gc;

@@ -33,9 +33,9 @@
  *    shard index).
  *
  * The scheduler lives entirely on the host engine: every decision is
- * a host-engine event, so grant order is deterministic for any
- * `--engine-threads` count (requests and releases arrive through the
- * group's deterministic completion merge).
+ * a host-engine event, so grant order is the same in both engine
+ * modes (under the engine group, requests and releases arrive through
+ * its deterministic completion merge).
  */
 
 #ifndef DSSD_CORE_ARRAY_GC_HH
@@ -129,7 +129,7 @@ class ArrayGcScheduler
     std::int64_t tokens() const { return _tokens; }
 
     /** Shards in grant-delivery order since construction — the
-     *  determinism witness compared across worker counts. */
+     *  determinism witness compared across engine modes. */
     const std::vector<unsigned> &grantLog() const { return _grantLog; }
 
     const ArrayGcParams &params() const { return _params; }

@@ -173,7 +173,8 @@ GcEngine::startUnit(std::uint32_t unit)
     Tracer *tr = _ssd.engine().tracer();
     if (tr) {
         int pid = tr->process("gc");
-        tr->asyncBegin(pid, "gc", "gc-round", unit,
+        u.spanId = tr->nextSpanId();
+        tr->asyncBegin(pid, "gc", "gc-round", u.spanId,
                        _ssd.engine().now());
     }
 #endif
@@ -469,7 +470,8 @@ GcEngine::finishUnit(std::uint32_t unit)
     Tracer *tr = _ssd.engine().tracer();
     if (tr) {
         int pid = tr->process("gc");
-        tr->asyncEnd(pid, "gc", "gc-round", unit, _ssd.engine().now());
+        tr->asyncEnd(pid, "gc", "gc-round", u.spanId,
+                     _ssd.engine().now());
     }
 #endif
     if (_activeUnits == 0) {

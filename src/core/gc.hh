@@ -172,6 +172,9 @@ class GcEngine
         bool wantsResume = false;
         /// Copies issued since the last preemption check.
         unsigned quantumCopies = 0;
+        /// Trace id of the open gc-round span (Tracer::nextSpanId, so
+        /// rounds of different shards never share an id).
+        std::uint64_t spanId = 0;
     };
 
     enum class GrantState

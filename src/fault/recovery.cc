@@ -146,8 +146,9 @@ RecoveryEngine::copybackFallback(const PhysAddr &src, const PhysAddr &dst,
     ++_cbFallbacks;
     std::uint64_t page = _geom.pageBytes;
 #if DSSD_TRACING
-    std::uint64_t span_id = _cbFallbacks;
+    // A tracer-wide id: the shards of an array share one trace.
     Tracer *tr = _engine.tracer();
+    std::uint64_t span_id = tr ? tr->nextSpanId() : 0;
     if (tr) {
         tr->asyncBegin(tr->process("fault"), "fault", "fallback",
                        span_id, _engine.now());

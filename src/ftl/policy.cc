@@ -241,7 +241,7 @@ class ConflictAwareAlloc : public AllocPolicy
 
 //
 // Factory registry. Every concrete policy above must appear here
-// (lint rule R11 cross-checks class definitions against this table
+// (lint rule R7 cross-checks class definitions against this table
 // and the test fixtures).
 //
 

@@ -136,8 +136,7 @@ struct VictimIndex
  * Victim-selection strategy: which block to collect next.
  * Implementations must be deterministic pure functions of the mapping
  * state (plus their own state), with a documented tie-break, so
- * figure outputs stay byte-identical across runs, rebuilds and
- * engine-thread counts.
+ * figure outputs stay byte-identical across runs and rebuilds.
  */
 class VictimPolicy
 {

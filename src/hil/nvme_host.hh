@@ -37,7 +37,7 @@
  *
  * Determinism: the host runs entirely on the (single) host engine and
  * consumes device completions in the engine's deterministic order, so
- * results are byte-identical run to run and across --engine-threads.
+ * results are byte-identical run to run.
  */
 
 #ifndef DSSD_HIL_NVME_HOST_HH

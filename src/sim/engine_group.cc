@@ -5,13 +5,11 @@
 
 #include "sim/log.hh"
 #include "sim/registry.hh"
-#include "sim/trace.hh"
 
 namespace dssd
 {
 
-EngineGroup::EngineGroup(Engine &host, unsigned shards, Tick lookahead,
-                         unsigned threads)
+EngineGroup::EngineGroup(Engine &host, unsigned shards, Tick lookahead)
     : _host(host), _lookahead(lookahead)
 {
     if (shards == 0)
@@ -24,28 +22,6 @@ EngineGroup::EngineGroup(Engine &host, unsigned shards, Tick lookahead,
     for (unsigned s = 0; s < shards; ++s)
         _shards.push_back(std::make_unique<Shard>());
     _mergePos.resize(shards, 0);
-
-    unsigned workers = std::min(threads, shards);
-    if (workers > 1) {
-        _threads.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            _threads.emplace_back(
-                [this, w, workers] { workerMain(w, workers); });
-        }
-    }
-}
-
-EngineGroup::~EngineGroup()
-{
-    if (!_threads.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            _shutdown = true;
-        }
-        _wake.notify_all();
-        for (std::thread &t : _threads)
-            t.join();
-    }
 }
 
 Engine &
@@ -77,8 +53,8 @@ EngineGroup::postToShard(unsigned s, Tick delay, Callback fn)
 void
 EngineGroup::postToHost(unsigned s, Callback fn)
 {
-    // Runs on shard s's phase; the outbox is private to that shard
-    // until the barrier publishes it to the coordinator.
+    // Runs on shard s's phase; the merge drains the outbox after the
+    // shard phases of the epoch.
     Shard &sh = *_shards[s];
     sh.outbox.push_back(Completion{sh.engine.now(), std::move(fn)});
 }
@@ -93,49 +69,6 @@ EngineGroup::shardPhase(Shard &sh, Tick bound)
 }
 
 void
-EngineGroup::workerMain(unsigned worker, unsigned stride)
-{
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(_mutex);
-    for (;;) {
-        _wake.wait(lock, [this, seen] {
-            return _shutdown || _generation != seen;
-        });
-        if (_shutdown)
-            return;
-        seen = _generation;
-        Tick bound = _phaseBound;
-        lock.unlock();
-        // Static shard-to-worker assignment: determinism never depends
-        // on it (shards are isolated), but it keeps each engine's pool
-        // memory on one thread.
-        for (unsigned s = worker; s < _shards.size();
-             s += stride)
-            shardPhase(*_shards[s], bound);
-        lock.lock();
-        if (--_running == 0)
-            _idle.notify_all();
-    }
-}
-
-void
-EngineGroup::parallelPhase(Tick bound)
-{
-    if (_threads.empty()) {
-        // Serial reference: same protocol, shard order 0..N-1.
-        for (auto &sh : _shards)
-            shardPhase(*sh, bound);
-        return;
-    }
-    std::unique_lock<std::mutex> lock(_mutex);
-    _phaseBound = bound;
-    _running = static_cast<unsigned>(_threads.size());
-    ++_generation;
-    _wake.notify_all();
-    _idle.wait(lock, [this] { return _running == 0; });
-}
-
-void
 EngineGroup::mergeCompletions()
 {
     // Deterministic k-way merge of the shard outboxes into the host
@@ -143,7 +76,7 @@ EngineGroup::mergeCompletions()
     // monotone), so repeatedly taking the earliest head — breaking
     // tick ties by the lowest shard index — schedules completions in
     // (tick, shard, emission order). The host engine's FIFO-per-tick
-    // ordering then replays them identically for any worker count.
+    // ordering then replays them in that order.
     std::fill(_mergePos.begin(), _mergePos.end(), 0);
     for (;;) {
         std::size_t best = _shards.size();
@@ -167,37 +100,10 @@ EngineGroup::mergeCompletions()
 }
 
 void
-EngineGroup::attachTracer(Tracer *host)
-{
-    if (!host)
-        panic("attachTracer: null host tracer");
-    if (_hostTracer)
-        panic("attachTracer: group already has a tracer");
-    _hostTracer = host;
-    _shardTracers.reserve(_shards.size());
-    for (auto &sh : _shards) {
-        _shardTracers.push_back(std::make_unique<Tracer>());
-        sh->engine.setTracer(_shardTracers.back().get());
-    }
-}
-
-void
-EngineGroup::drainTracers()
-{
-    if (!_hostTracer)
-        return;
-    // Runs on the coordinator thread after the phase barrier, which
-    // is what publishes the shard buffers; shard order keeps the
-    // merged file byte-identical for any worker count.
-    for (auto &t : _shardTracers)
-        t->drainInto(*_hostTracer);
-}
-
-void
 EngineGroup::runEpoch(Tick bound)
 {
-    parallelPhase(bound);
-    drainTracers();
+    for (auto &sh : _shards)
+        shardPhase(*sh, bound);
     mergeCompletions();
     _host.runUntil(bound);
     ++_epochs;

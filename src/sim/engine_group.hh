@@ -1,6 +1,6 @@
 /**
  * @file
- * Conservatively-synchronized parallel discrete-event engine group.
+ * Conservatively-synchronized discrete-event engine group.
  *
  * An EngineGroup coordinates one shard Engine per array shard plus the
  * caller's host Engine. Shards never touch each other's state; they
@@ -13,30 +13,23 @@
  *    boundary, in posting order.
  *  - shard -> host: per-shard outbox mailboxes. A completion is
  *    stamped with the shard clock at emission and delivered to the
- *    host engine at the window barrier through a deterministic k-way
- *    merge keyed by (tick, shard index, per-shard emission order) —
- *    never by thread arrival order.
+ *    host engine at the window edge through a deterministic k-way
+ *    merge keyed by (tick, shard index, per-shard emission order).
  *
  * Time advances in epochs of at most @ref lookahead ticks, aligned to
- * the lookahead grid. Each epoch runs the shard engines (in parallel
- * on the worker pool, or serially in shard order when threads <= 1)
- * up to the window bound, barriers, merges completions, then runs the
+ * the lookahead grid. Each epoch runs the shard engines in shard order
+ * up to the window bound, merges their completions, then runs the
  * host engine over the same window. Because every host->shard message
  * is due at least one full window ahead, a shard can never receive
- * work for a tick it has already passed: the schedule is identical
- * for any worker count, so results are bit-identical to the serial
- * execution of the same protocol.
+ * work for a tick it has already passed.
  */
 
 #ifndef DSSD_SIM_ENGINE_GROUP_HH
 #define DSSD_SIM_ENGINE_GROUP_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -46,7 +39,6 @@ namespace dssd
 {
 
 class StatRegistry;
-class Tracer;
 
 /** One engine per shard, conservatively synchronized with the host. */
 class EngineGroup
@@ -61,15 +53,8 @@ class EngineGroup
      * @param lookahead Minimum host->shard latency in ticks (> 0);
      *                  also the epoch width. For an SsdArray this is
      *                  the firmware fan-out latency.
-     * @param threads   Worker threads for the shard phase. <= 1 runs
-     *                  shards serially on the calling thread (the
-     *                  deterministic reference the parallel runs are
-     *                  proven against); higher counts are clamped to
-     *                  the shard count.
      */
-    EngineGroup(Engine &host, unsigned shards, Tick lookahead,
-                unsigned threads);
-    ~EngineGroup();
+    EngineGroup(Engine &host, unsigned shards, Tick lookahead);
 
     EngineGroup(const EngineGroup &) = delete;
     EngineGroup &operator=(const EngineGroup &) = delete;
@@ -81,11 +66,6 @@ class EngineGroup
         return static_cast<unsigned>(_shards.size());
     }
     Tick lookahead() const { return _lookahead; }
-    /** Worker threads actually running shard phases (0 = serial). */
-    unsigned workerCount() const
-    {
-        return static_cast<unsigned>(_threads.size());
-    }
 
     /**
      * Post @p fn to shard @p s, to run @p delay ticks from the host
@@ -119,7 +99,7 @@ class EngineGroup
      *  (maxTick when fully drained). */
     Tick nextTime();
 
-    /** Epochs executed so far (identical for any worker count). */
+    /** Epochs executed so far. */
     std::uint64_t epochsRun() const { return _epochs; }
     /** host->shard messages posted so far. */
     std::uint64_t messagesToShards() const { return _toShards; }
@@ -128,23 +108,9 @@ class EngineGroup
 
     /**
      * Register the group's coordination counters under @p prefix.
-     * Every value is a pure function of the simulated schedule, so the
-     * stat dump stays bit-identical across worker counts.
+     * Every value is a pure function of the simulated schedule.
      */
     void registerStats(StatRegistry &reg, const std::string &prefix) const;
-
-    /**
-     * Route shard-engine trace emissions into @p host (the host
-     * engine's file-backed tracer; borrowed, must outlive the group).
-     * Each shard engine gets a private buffered Tracer; the buffers
-     * are drained into @p host in shard order at every epoch barrier,
-     * on the coordinator thread, so no emission site ever takes a
-     * lock and the merged file is byte-identical for any worker
-     * count. Call before building the shard component trees so
-     * construction-time track registration lands on the shard
-     * tracers. Once per group; @p host must not be null.
-     */
-    void attachTracer(Tracer *host);
 
   private:
     struct Message
@@ -163,8 +129,7 @@ class EngineGroup
      * A shard engine plus its two mailboxes. The inbox is written by
      * the host between phases and drained by the shard at its phase
      * start; the outbox is written by the shard during its phase and
-     * drained by the coordinator at the barrier. The phase barrier is
-     * the synchronization point for both, so neither needs a lock.
+     * drained into the host engine by the merge.
      */
     struct Shard
     {
@@ -175,42 +140,19 @@ class EngineGroup
 
     /** Drain the inbox into the engine, then run it to @p bound. */
     void shardPhase(Shard &sh, Tick bound);
-    /** Run all shard phases up to @p bound (pool or serial). */
-    void parallelPhase(Tick bound);
     /** Deterministically merge outboxes into the host engine. */
     void mergeCompletions();
-    /** Drain shard trace buffers into the host tracer (shard order,
-     *  coordinator thread; no-op without attachTracer). */
-    void drainTracers();
-    /** One whole epoch: shards to @p bound, barrier, host to it. */
+    /** One whole epoch: shards to @p bound, merge, host to it. */
     void runEpoch(Tick bound);
-    void workerMain(unsigned worker, unsigned stride);
 
     Engine &_host;
     Tick _lookahead;
     std::vector<std::unique_ptr<Shard>> _shards;
 
-    Tracer *_hostTracer = nullptr; ///< borrowed; see attachTracer()
-    std::vector<std::unique_ptr<Tracer>> _shardTracers;
-
     std::uint64_t _epochs = 0;
     std::uint64_t _toShards = 0;
     std::uint64_t _toHost = 0;
     std::vector<std::size_t> _mergePos; ///< per-shard merge cursors
-
-    // Worker pool: generation-counted barrier. The coordinator bumps
-    // _generation with _phaseBound set, workers run their statically
-    // assigned shards (shard s belongs to worker s % workerCount) and
-    // the last one out wakes the coordinator. The mutex handoff is
-    // what publishes mailbox contents across threads.
-    std::vector<std::thread> _threads;
-    std::mutex _mutex;
-    std::condition_variable _wake;
-    std::condition_variable _idle;
-    std::uint64_t _generation = 0;
-    unsigned _running = 0;
-    Tick _phaseBound = 0;
-    bool _shutdown = false;
 };
 
 } // namespace dssd

@@ -17,9 +17,9 @@
  *
  * Not thread-safe by design: a pool belongs to one model component
  * (e.g. one Ssd) and is only touched from that component's engine
- * events. Under the engine group (sim/engine_group.hh) a shard's
- * events all run inside its barrier-ordered phase, so a per-shard
- * pool — refcount included — never sees two threads at once.
+ * events. src/ starts no thread, and a sweep thread (bench/harness)
+ * owns its whole experiment, so a pool — refcount included — never
+ * sees two threads at once.
  */
 
 #ifndef DSSD_SIM_POOL_HH

@@ -27,8 +27,6 @@ Tracer::Tracer(const std::string &path)
     std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", _file);
 }
 
-Tracer::Tracer() : _buffered(true) {}
-
 Tracer::~Tracer()
 {
     finish();
@@ -56,10 +54,6 @@ Tracer::process(const std::string &name)
         return it->second;
     int pid = _nextPid++;
     _pids.emplace(name, pid);
-    if (_buffered) {
-        _pidNames.push_back(name);
-        return pid;
-    }
     emit("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,"
          "\"args\":{\"name\":\"%s\"}}",
          pid, name.c_str());
@@ -75,10 +69,6 @@ Tracer::lane(int pid, const std::string &name)
         return it->second;
     int tid = ++_nextTid[pid];
     _lanes.emplace(key, tid);
-    if (_buffered) {
-        _laneNames.emplace(std::make_pair(pid, tid), name);
-        return tid;
-    }
     emit("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":%d,"
          "\"args\":{\"name\":\"%s\"}}",
          pid, tid, name.c_str());
@@ -89,12 +79,6 @@ void
 Tracer::slice(int pid, int tid, const char *name, const char *cat,
               Tick start, Tick end)
 {
-    if (_buffered) {
-        ++_events;
-        _records.push_back(Record{Record::Kind::Slice, pid, tid, name,
-                                  cat, 0, start, end, 0.0});
-        return;
-    }
     emit("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\","
          "\"cat\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
          pid, tid, name, cat, toUs(start),
@@ -105,12 +89,6 @@ void
 Tracer::asyncBegin(int pid, const char *cat, const char *name,
                    std::uint64_t id, Tick when)
 {
-    if (_buffered) {
-        ++_events;
-        _records.push_back(Record{Record::Kind::AsyncBegin, pid, 0,
-                                  name, cat, id, when, 0, 0.0});
-        return;
-    }
     emit("{\"ph\":\"b\",\"pid\":%d,\"tid\":0,\"name\":\"%s\","
          "\"cat\":\"%s\",\"id\":\"0x%llx\",\"ts\":%.3f}",
          pid, name, cat, static_cast<unsigned long long>(id),
@@ -121,12 +99,6 @@ void
 Tracer::asyncEnd(int pid, const char *cat, const char *name,
                  std::uint64_t id, Tick when)
 {
-    if (_buffered) {
-        ++_events;
-        _records.push_back(Record{Record::Kind::AsyncEnd, pid, 0,
-                                  name, cat, id, when, 0, 0.0});
-        return;
-    }
     emit("{\"ph\":\"e\",\"pid\":%d,\"tid\":0,\"name\":\"%s\","
          "\"cat\":\"%s\",\"id\":\"0x%llx\",\"ts\":%.3f}",
          pid, name, cat, static_cast<unsigned long long>(id),
@@ -136,53 +108,9 @@ Tracer::asyncEnd(int pid, const char *cat, const char *name,
 void
 Tracer::counter(int pid, const char *name, Tick when, double value)
 {
-    if (_buffered) {
-        ++_events;
-        _records.push_back(Record{Record::Kind::Counter, pid, 0, name,
-                                  std::string(), 0, when, 0, value});
-        return;
-    }
     emit("{\"ph\":\"C\",\"pid\":%d,\"tid\":0,\"name\":\"%s\","
          "\"ts\":%.3f,\"args\":{\"value\":%.17g}}",
          pid, name, toUs(when), value);
-}
-
-void
-Tracer::drainInto(Tracer &dst)
-{
-    if (!_buffered)
-        panic("drainInto() on a file-backed tracer");
-    for (const Record &r : _records) {
-        // Rebuild the destination's track ids by name. pid 0 means
-        // the emitter never named a process (it passed a raw id);
-        // keep it verbatim so such events stay greppable.
-        int pid = r.pid;
-        if (r.pid >= 1 &&
-            r.pid <= static_cast<int>(_pidNames.size()))
-            pid = dst.process(_pidNames[r.pid - 1]);
-        int tid = r.tid;
-        auto lane_it = _laneNames.find({r.pid, r.tid});
-        if (lane_it != _laneNames.end())
-            tid = dst.lane(pid, lane_it->second);
-        switch (r.kind) {
-        case Record::Kind::Slice:
-            dst.slice(pid, tid, r.name.c_str(), r.cat.c_str(),
-                      r.start, r.end);
-            break;
-        case Record::Kind::AsyncBegin:
-            dst.asyncBegin(pid, r.cat.c_str(), r.name.c_str(), r.id,
-                           r.start);
-            break;
-        case Record::Kind::AsyncEnd:
-            dst.asyncEnd(pid, r.cat.c_str(), r.name.c_str(), r.id,
-                         r.start);
-            break;
-        case Record::Kind::Counter:
-            dst.counter(pid, r.name.c_str(), r.start, r.value);
-            break;
-        }
-    }
-    _records.clear();
 }
 
 void

@@ -24,15 +24,8 @@
  * "ch0.d2"). Async spans attach to the process row and are matched by
  * (category, id, name).
  *
- * Parallel runs: a Tracer is deliberately single-threaded (no locks
- * on the emission path). For EngineGroup mode each shard engine gets
- * its own *buffered* Tracer (the default constructor) that records
- * events into a private vector instead of a file; the group drains
- * every shard buffer into the host tracer — in shard order, at the
- * epoch barrier, on the coordinator thread — via drainInto(). The
- * barrier's mutex handoff publishes the buffers, so no emission site
- * ever takes a lock, and the merged file is byte-identical for any
- * worker count.
+ * An SsdArray under an EngineGroup hands the host engine's Tracer to
+ * every shard engine, so one file holds the whole array's timeline.
  */
 
 #ifndef DSSD_SIM_TRACE_HH
@@ -43,7 +36,6 @@
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -57,26 +49,13 @@
 namespace dssd
 {
 
-/** Streams Chrome trace_event JSON to a file, or buffers events for
- *  a later drainInto() when default-constructed. */
+/** Streams Chrome trace_event JSON to a file. */
 class Tracer
 {
   public:
     /** Opens @p path and writes the document header; fatal() if the
      *  file cannot be created. */
     explicit Tracer(const std::string &path);
-
-    /**
-     * A buffered tracer: every emission is recorded (with its track
-     * names) into a private vector instead of a file, to be replayed
-     * into a file-backed tracer with drainInto(). This is the
-     * per-shard span sink for parallel engine groups; it is still
-     * single-thread at a time, but buffer and drain may happen on
-     * different threads as long as something orders them (the
-     * group's epoch barrier does).
-     */
-    Tracer();
-
     ~Tracer();
 
     Tracer(const Tracer &) = delete;
@@ -97,7 +76,8 @@ class Tracer
 
     /**
      * Async span delimiters (ph "b"/"e"), matched by (cat, id, name)
-     * within the process row. Spans with distinct ids may overlap.
+     * within the process row. Spans with distinct ids may overlap;
+     * two with the same key must not (tools/trace_check.py fails it).
      */
     void asyncBegin(int pid, const char *cat, const char *name,
                     std::uint64_t id, Tick when);
@@ -109,77 +89,33 @@ class Tracer
     void counter(int pid, const char *name, Tick when, double value);
 
     /**
-     * A fresh async-span id for emission sites that have no natural
-     * request id (emitted-together begin/end pairs). A per-tracer
-     * sequence — never an object address — so trace files are a pure
-     * function of the simulated schedule: byte-identical run to run
-     * and, through the buffered drain path, across worker counts.
+     * A fresh async-span id for emission sites with no id of their own
+     * that is unique in the file (a unit index or a per-Ssd counter
+     * repeats across the shards of an array). A per-tracer sequence —
+     * never an object address — so trace files are a pure function of
+     * the simulated schedule: byte-identical run to run.
      */
     std::uint64_t nextSpanId() { return ++_nextSpanId; }
 
     /** Write the footer and close the file; idempotent (the
-     *  destructor calls it). No-op on a buffered tracer. */
+     *  destructor calls it). */
     void finish();
 
     /** Events emitted so far (metadata records included). */
     std::uint64_t events() const { return _events; }
 
-    /** True when default-constructed (recording, not streaming). */
-    bool buffered() const { return _buffered; }
-
-    /** Buffered events not yet drained (0 on a file tracer). */
-    std::size_t pending() const { return _records.size(); }
-
-    /**
-     * Replay every buffered event into @p dst and clear the buffer.
-     * Track ids are remapped by name (dst.process()/lane() allocate
-     * or reuse rows in @p dst), so tracks merge with the
-     * destination's own. Caller must order this against emissions
-     * into *this; only meaningful on a buffered tracer.
-     */
-    void drainInto(Tracer &dst);
-
   private:
-    /** One buffered emission (buffered mode only). Track ids are
-     *  private to this tracer; names travel along for remapping. */
-    struct Record
-    {
-        enum class Kind : std::uint8_t
-        {
-            Slice,
-            AsyncBegin,
-            AsyncEnd,
-            Counter,
-        };
-        Kind kind;
-        int pid = 0;
-        int tid = 0;
-        std::string name;
-        std::string cat;
-        std::uint64_t id = 0;
-        Tick start = 0;
-        Tick end = 0;
-        double value = 0.0;
-    };
-
     void emit(const char *fmt, ...)
         __attribute__((format(printf, 2, 3)));
 
     std::FILE *_file = nullptr;
     bool _first = true;
-    bool _buffered = false;
     std::uint64_t _events = 0;
     std::uint64_t _nextSpanId = 0;
     int _nextPid = 1;
     std::map<std::string, int> _pids;
     std::map<std::pair<int, std::string>, int> _lanes;
     std::map<int, int> _nextTid;
-
-    // Buffered mode: the recorded events plus reverse name maps so
-    // drainInto() can rebuild tracks in the destination.
-    std::vector<Record> _records;
-    std::vector<std::string> _pidNames;          ///< index pid-1
-    std::map<std::pair<int, int>, std::string> _laneNames;
 };
 
 } // namespace dssd

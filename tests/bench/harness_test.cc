@@ -91,12 +91,10 @@ TEST(RunExperimentsTest, SingleAndMultiThreadResultsAreIdentical)
 TEST(PolicyDeterminismTest, EveryPolicyComboIsStableAcrossEngineThreads)
 {
     // For every {victim, alloc, preempt} combination: the same point
-    // re-run at the same engine-thread count is identical (run-to-run
-    // determinism, including the legacy shared-engine mode 0), and
-    // thread counts 1 and 8 are identical to each other (the engine
-    // group's conservative schedule is thread-count-invariant).
-    // Mode 0 uses a single shared engine with different event timing,
-    // so it is only required to agree with itself.
+    // re-run in the same engine mode is identical (run-to-run
+    // determinism), on the shared engine (0) and under the engine
+    // group (1). The two modes differ in event timing, so each is
+    // only required to agree with itself.
     for (const char *victim : {"greedy", "costbenefit", "windowed"}) {
         for (const char *alloc : {"rr", "conflict"}) {
             for (bool pre : {false, true}) {
@@ -108,22 +106,14 @@ TEST(PolicyDeterminismTest, EveryPolicyComboIsStableAcrossEngineThreads)
                 std::string tag = std::string(victim) + "/" + alloc +
                                   (pre ? "+pre" : "");
 
-                for (unsigned threads : {0u, 1u, 8u}) {
-                    p.engineThreads = threads;
+                for (unsigned mode : {0u, 1u}) {
+                    p.engineThreads = mode;
                     ExpResult once = runExperiment(p);
                     ExpResult twice = runExperiment(p);
                     EXPECT_TRUE(sameResult(once, twice))
                         << tag << " not deterministic at "
-                        << threads << " engine threads";
+                        << "--engine-threads=" << mode;
                 }
-
-                p.engineThreads = 1;
-                ExpResult serial = runExperiment(p);
-                p.engineThreads = 8;
-                ExpResult wide = runExperiment(p);
-                EXPECT_TRUE(sameResult(serial, wide))
-                    << tag << " diverged between 1 and 8 engine "
-                    << "threads";
             }
         }
     }
@@ -245,6 +235,9 @@ TEST(OptionParseDeathTest, BenchOptsRejectsBadNumbers)
                 "fatal: --shards needs ");
     EXPECT_EXIT(parse("--engine-threads=-1"), testing::ExitedWithCode(1),
                 "fatal: --engine-threads needs ");
+    // 0 (shared engine) and 1 (engine group) are the only modes.
+    EXPECT_EXIT(parse("--engine-threads=2"), testing::ExitedWithCode(1),
+                "fatal: --engine-threads needs an integer in \\[0, 1\\]");
     EXPECT_EXIT(parse("--threads=4x"), testing::ExitedWithCode(1),
                 "fatal: --threads needs ");
     EXPECT_EXIT(parse("--slo=0"), testing::ExitedWithCode(1),

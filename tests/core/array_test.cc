@@ -214,23 +214,23 @@ TEST(SsdArrayTest, RegisterStatsExportsAggregatesAndShards)
 }
 
 //
-// Engine-group mode (params.engineThreads >= 1): per-shard engines
+// Engine-group mode (params.engineThreads nonzero): per-shard engines
 // under the conservative EngineGroup, driven through arr.run().
 //
 
 SsdArrayParams
-groupParams(unsigned shards, unsigned threads)
+groupParams(unsigned shards)
 {
     SsdArrayParams p;
     p.shards = shards;
-    p.engineThreads = threads;
+    p.engineThreads = 1;
     return p;
 }
 
 TEST(SsdArrayGroupTest, GroupModeCompletesHostIo)
 {
     Engine e;
-    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(2, 1));
+    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(2));
     ASSERT_NE(arr.engineGroup(), nullptr);
     EXPECT_EQ(arr.engineGroup()->shardCount(), 2u);
 
@@ -248,7 +248,7 @@ TEST(SsdArrayGroupTest, GroupModeCompletesHostIo)
 TEST(SsdArrayGroupTest, GroupSubmitFansOutAndCompletesOnce)
 {
     Engine e;
-    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(4, 1));
+    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(4));
     IoRequest req;
     req.kind = IoRequest::Kind::Write;
     req.offset = 0;
@@ -265,7 +265,7 @@ TEST(SsdArrayGroupTest, GroupSubmitFansOutAndCompletesOnce)
 TEST(SsdArrayGroupTest, GroupForceAllGcCoversEveryShard)
 {
     Engine e;
-    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(2, 1));
+    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(2));
     arr.prefill(0.8, 0.5);
     bool done = false;
     arr.forceAllGc(1, [&done] { done = true; });
@@ -278,7 +278,7 @@ TEST(SsdArrayGroupTest, GroupForceAllGcCoversEveryShard)
 TEST(SsdArrayGroupTest, GroupStatsAreRegistered)
 {
     Engine e;
-    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(2, 1));
+    SsdArray arr(e, testConfig(ArchKind::Baseline), groupParams(2));
     StatRegistry reg;
     arr.registerStats(reg, "arr");
     EXPECT_TRUE(reg.has("arr.group.epochs"));
@@ -292,16 +292,16 @@ TEST(SsdArrayGroupTest, GroupStatsAreRegistered)
 /**
  * Seeded closed-loop workload that interleaves host fan-out (mixed
  * read/write submits at a fixed queue depth) with periodic array-wide
- * forced GC, then returns the complete stats JSON. Pure function of
- * (seed, shards) — the engine-thread count must not leak into it.
+ * forced GC, then returns the complete stats JSON. Must be a pure
+ * function of (shards, seed).
  */
 std::string
-stressRun(unsigned shards, unsigned threads, std::uint64_t seed)
+stressRun(unsigned shards, std::uint64_t seed)
 {
     Engine e;
     SsdConfig cfg = testConfig(ArchKind::DSSDNoc);
     cfg.seed = seed;
-    SsdArray arr(e, cfg, groupParams(shards, threads));
+    SsdArray arr(e, cfg, groupParams(shards));
     arr.prefill(0.7, 0.4);
 
     struct Loop
@@ -360,40 +360,39 @@ stressRun(unsigned shards, unsigned threads, std::uint64_t seed)
     return out;
 }
 
-// The cross-thread determinism bar: the same seeded stress workload
-// must produce byte-identical stats for 1, 2, and 8 worker threads.
-TEST(SsdArrayGroupTest, StressStatsIdenticalAcrossWorkerCounts)
+// The group's determinism bar: the same seeded stress workload must
+// produce byte-identical stats run to run.
+TEST(SsdArrayGroupTest, StressStatsIdenticalRunToRun)
 {
-    std::string serial = stressRun(4, 1, 12345);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(stressRun(4, 2, 12345), serial);
-    EXPECT_EQ(stressRun(4, 8, 12345), serial);
+    std::string once = stressRun(4, 12345);
+    EXPECT_FALSE(once.empty());
+    EXPECT_EQ(stressRun(4, 12345), once);
 }
 
 TEST(SsdArrayGroupTest, StressStatsRespondToTheSeed)
 {
     // Sanity check that the comparison above is not vacuous.
-    EXPECT_NE(stressRun(4, 1, 12345), stressRun(4, 1, 54321));
+    EXPECT_NE(stressRun(4, 12345), stressRun(4, 54321));
 }
 
 /**
  * Group-mode tracing: a tracer attached to the host engine before
- * construction is propagated to the shard engines (per-shard buffers
- * drained at the epoch barriers), and the resulting trace file is
- * byte-identical for any worker count.
+ * construction is handed to every shard engine, and the resulting
+ * trace file is byte-identical run to run.
  */
 std::string
-traceRun(unsigned shards, unsigned threads, std::uint64_t seed)
+traceRun(unsigned shards, std::uint64_t seed)
 {
-    std::string path = "/tmp/dssd_array_trace_" +
-                       std::to_string(threads) + ".json";
+    std::string path = "/tmp/dssd_array_group_trace.json";
     {
         Engine e;
         Tracer tracer(path);
         e.setTracer(&tracer);
         SsdConfig cfg = testConfig(ArchKind::DSSDNoc);
         cfg.seed = seed;
-        SsdArray arr(e, cfg, groupParams(shards, threads));
+        SsdArray arr(e, cfg, groupParams(shards));
+        for (unsigned s = 0; s < shards; ++s)
+            EXPECT_EQ(arr.engineGroup()->shardEngine(s).tracer(), &tracer);
         arr.prefill(0.5, 0.3);
         Rng rng(seed + 17);
         std::uint64_t page = cfg.geom.pageBytes;
@@ -416,16 +415,15 @@ traceRun(unsigned shards, unsigned threads, std::uint64_t seed)
     return ss.str();
 }
 
-TEST(SsdArrayGroupTest, TraceIsIdenticalAcrossWorkerCounts)
+TEST(SsdArrayGroupTest, TraceIsIdenticalRunToRun)
 {
-    std::string serial = traceRun(4, 1, 777);
-    EXPECT_FALSE(serial.empty());
+    std::string once = traceRun(4, 777);
+    EXPECT_FALSE(once.empty());
 #if DSSD_TRACING
-    // Shard-side emission families actually crossed the buffers.
-    EXPECT_NE(serial.find("\"ph\":\"X\""), std::string::npos);
+    // Shard-side emission families reached the file.
+    EXPECT_NE(once.find("\"ph\":\"X\""), std::string::npos);
 #endif
-    EXPECT_EQ(traceRun(4, 2, 777), serial);
-    EXPECT_EQ(traceRun(4, 8, 777), serial);
+    EXPECT_EQ(traceRun(4, 777), once);
 }
 
 } // namespace

@@ -13,6 +13,8 @@ using std::min;
 struct Device
 {
     std::uint64_t ticks = 0;
+    std::uint64_t clock(unsigned scale = 1) const { return ticks * scale; }
+    static std::uint64_t time(const char *zone) { return zone ? 1 : 0; }
 };
 
 std::uint64_t
@@ -25,4 +27,12 @@ runtime(std::uint64_t seed, std::uint64_t cap)
     const char *hint = "call time(nullptr) or rand() and lose determinism";
     (void)hint;
     return min(cap, operand + static_cast<std::uint64_t>(budget.count()));
+}
+
+std::uint64_t
+deviceClocks(const Device &dev)
+{
+    // Members named like the libc clocks, qualified or called on an
+    // object, are the model's own time.
+    return Device::time(nullptr) + dev.clock();
 }

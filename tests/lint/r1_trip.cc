@@ -33,6 +33,13 @@ launderedTime()
     return time(nullptr) + clock();  // trip:R1
 }
 
+long
+qualifiedClocks()
+{
+    long now = std::time(nullptr);  // trip:R1
+    return now + std::clock();      // trip:R1
+}
+
 unsigned
 unseededDraws()
 {

@@ -14,7 +14,7 @@ struct Mutex  // models a hardware arbiter, not std::mutex
 unsigned
 engineThreads(unsigned requested)
 {
-    const char *why = "std::thread lives in sim/engine_group.cc";
+    const char *why = "std::thread lives in the bench sweep runner";
     (void)why;
     return requested == 0 ? 1 : requested;
 }

@@ -1,5 +1,5 @@
-// Fixture: R6 violations — threads, atomics and thread-local storage
-// outside sim/engine_group.*.
+// Fixture: R6 violations — threads, atomics and thread-local storage,
+// banned everywhere in src/.
 
 #include <atomic>  // trip:R6
 #include <cstdint>

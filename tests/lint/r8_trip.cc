@@ -5,33 +5,16 @@
 // sees the same facts without include paths. Lines that must fire
 // carry a trailing trip marker naming the rule.
 
-#include <cstdint>
-#include <functional>
-
 struct PoolPtr {
     void *raw = nullptr;
 };
 
-PoolPtr makePooled();
-
 struct EngineGroup {
-    void postToShard(unsigned shard, std::uint64_t delay,
-                     std::function<void()> fn);
-    void postToHost(std::uint64_t when, std::function<void()> fn);
     void *shardEngine(unsigned shard);
 };
 
-// File-scope pooled state: reachable from every shard thread.
+// File-scope pooled state: shared by every experiment in the process.
 PoolPtr gScratch;  // trip:R8
-
-void
-crossShardEscape(EngineGroup &group)
-{
-    PoolPtr page = makePooled();
-    // Non-atomic refcount handed to another shard's thread.
-    group.postToShard(1, 100, [page] { (void)page.raw; });  // trip:R8
-    group.postToHost(200, [page] { (void)page.raw; });      // trip:R8
-}
 
 void
 directShardAccess(EngineGroup &group)

@@ -1,8 +1,8 @@
 /**
  * Unit tests for the conservatively-synchronized EngineGroup: the
  * epoch/window protocol, lookahead-boundary behaviour, the
- * deterministic shard->host completion merge, worker-count
- * independence, and the lookahead guard rails.
+ * deterministic shard->host completion merge, a tracer shared by the
+ * shard engines, and the lookahead guard rails.
  */
 
 #include <gtest/gtest.h>
@@ -30,26 +30,18 @@ constexpr Tick kLookahead = 1000;
 TEST(EngineGroupTest, ConstructionAndAccessors)
 {
     Engine host;
-    EngineGroup g(host, 4, kLookahead, 1);
+    EngineGroup g(host, 4, kLookahead);
     EXPECT_EQ(g.shardCount(), 4u);
     EXPECT_EQ(g.lookahead(), kLookahead);
-    EXPECT_EQ(g.workerCount(), 0u); // 1 thread = serial on the caller
     EXPECT_EQ(g.epochsRun(), 0u);
     for (unsigned s = 0; s < 4; ++s)
         EXPECT_EQ(g.shardEngine(s).now(), 0u);
 }
 
-TEST(EngineGroupTest, ThreadCountClampsToShards)
-{
-    Engine host;
-    EngineGroup g(host, 2, kLookahead, 16);
-    EXPECT_EQ(g.workerCount(), 2u);
-}
-
 TEST(EngineGroupTest, MessageRoundTrip)
 {
     Engine host;
-    EngineGroup g(host, 2, kLookahead, 1);
+    EngineGroup g(host, 2, kLookahead);
 
     Tick shard_saw = 0, host_saw = 0;
     g.postToShard(1, kLookahead, [&g, &shard_saw, &host_saw] {
@@ -69,7 +61,7 @@ TEST(EngineGroupTest, MessageRoundTrip)
 TEST(EngineGroupTest, PostBelowLookaheadPanics)
 {
     Engine host;
-    EngineGroup g(host, 1, kLookahead, 1);
+    EngineGroup g(host, 1, kLookahead);
     EXPECT_DEATH(g.postToShard(0, kLookahead - 1, [] {}),
                  "below the lookahead");
 }
@@ -77,13 +69,13 @@ TEST(EngineGroupTest, PostBelowLookaheadPanics)
 TEST(EngineGroupTest, ZeroLookaheadIsFatal)
 {
     Engine host;
-    EXPECT_DEATH(EngineGroup(host, 1, 0, 1), "positive lookahead");
+    EXPECT_DEATH(EngineGroup(host, 1, 0), "positive lookahead");
 }
 
 TEST(EngineGroupTest, ZeroShardsIsFatal)
 {
     Engine host;
-    EXPECT_DEATH(EngineGroup(host, 0, kLookahead, 1),
+    EXPECT_DEATH(EngineGroup(host, 0, kLookahead),
                  "at least one shard");
 }
 
@@ -93,7 +85,7 @@ TEST(EngineGroupTest, ZeroShardsIsFatal)
 TEST(EngineGroupTest, EventExactlyAtWindowEdge)
 {
     Engine host;
-    EngineGroup g(host, 1, kLookahead, 1);
+    EngineGroup g(host, 1, kLookahead);
 
     std::vector<std::pair<std::uint64_t, Tick>> runs; // (epoch, when)
     g.shardEngine(0).schedule(kLookahead - 1, [&g, &runs] {
@@ -117,7 +109,7 @@ TEST(EngineGroupTest, EventExactlyAtWindowEdge)
 TEST(EngineGroupTest, RunUntilIsInclusive)
 {
     Engine host;
-    EngineGroup g(host, 1, kLookahead, 1);
+    EngineGroup g(host, 1, kLookahead);
 
     bool at = false, after = false;
     Tick until = 3 * kLookahead + kLookahead / 2;
@@ -131,12 +123,11 @@ TEST(EngineGroupTest, RunUntilIsInclusive)
 }
 
 // Completions from different shards at the same host tick must merge
-// in shard-index order, regardless of which shard emitted first in
-// wall-clock terms.
+// in shard-index order, regardless of the order they were posted in.
 TEST(EngineGroupTest, TieBreakMergesByShardIndex)
 {
     Engine host;
-    EngineGroup g(host, 4, kLookahead, 1);
+    EngineGroup g(host, 4, kLookahead);
 
     std::vector<unsigned> order;
     // Post in reverse shard order so arrival order != shard order.
@@ -156,7 +147,7 @@ TEST(EngineGroupTest, TieBreakMergesByShardIndex)
 TEST(EngineGroupTest, EmissionOrderPreservedWithinShard)
 {
     Engine host;
-    EngineGroup g(host, 2, kLookahead, 1);
+    EngineGroup g(host, 2, kLookahead);
 
     std::vector<std::string> order;
     for (unsigned s = 0; s < 2; ++s) {
@@ -175,85 +166,27 @@ TEST(EngineGroupTest, EmissionOrderPreservedWithinShard)
     EXPECT_EQ(order, want);
 }
 
-// The full observable schedule — host merge order, per-shard event
-// times and order, epoch count — must be identical for any worker
-// count. Shard-side logging is confined to a per-shard vector (shards
-// in the same epoch run concurrently, so their relative wall-clock
-// interleaving is meaningless and must not be observed).
-TEST(EngineGroupTest, WorkerCountDoesNotChangeTheSchedule)
-{
-    auto trace = [](unsigned threads) {
-        Engine host;
-        EngineGroup g(host, 4, kLookahead, threads);
-        std::vector<std::vector<std::string>> shardLog(4);
-        std::vector<std::string> hostLog;
-
-        // A little cross-domain ping-pong web: the host seeds each
-        // shard, shards reply, the host re-posts a few rounds.
-        struct Pinger
-        {
-            EngineGroup &g;
-            std::vector<std::vector<std::string>> &shardLog;
-            std::vector<std::string> &hostLog;
-            void
-            ping(unsigned s, int round)
-            {
-                if (round >= 3)
-                    return;
-                g.postToShard(s, kLookahead + 37 * s, [this, s, round] {
-                    shardLog[s].push_back(
-                        "@" + std::to_string(g.shardEngine(s).now()));
-                    g.postToHost(s, [this, s, round] {
-                        hostLog.push_back(
-                            "host" + std::to_string(s) + "@" +
-                            std::to_string(g.hostEngine().now()));
-                        ping(s, round + 1);
-                    });
-                });
-            }
-        };
-        Pinger p{g, shardLog, hostLog};
-        for (unsigned s = 0; s < 4; ++s)
-            p.ping(s, 0);
-        g.run();
-
-        std::vector<std::string> log = hostLog;
-        for (unsigned s = 0; s < 4; ++s)
-            for (const std::string &e : shardLog[s])
-                log.push_back("shard" + std::to_string(s) + e);
-        log.push_back("epochs=" + std::to_string(g.epochsRun()));
-        log.push_back("toHost=" + std::to_string(g.messagesToHost()));
-        return log;
-    };
-
-    std::vector<std::string> serial = trace(1);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(trace(2), serial);
-    EXPECT_EQ(trace(4), serial);
-    EXPECT_EQ(trace(16), serial);
-}
-
-// Shard-engine trace emissions flow through per-shard buffered
-// Tracers drained at the epoch barriers (attachTracer): the merged
-// file must be byte-identical for any worker count, and must carry
-// both the shard-side and host-side events.
+// One tracer attached to the host and to every shard engine (as
+// SsdArray does) takes the shard spans and the host counters into one
+// file: shards emit in shard order within an epoch, and the file is
+// byte-identical run to run.
 TEST(EngineGroupTest, AttachedTracerMergesShardSpansDeterministically)
 {
-    auto traceRun = [](unsigned threads) {
-        std::string path = "/tmp/dssd_group_trace_" +
-                           std::to_string(threads) + ".json";
+    auto traceRun = [] {
+        std::string path = "/tmp/dssd_group_trace.json";
         {
             Engine host;
             Tracer tracer(path);
             host.setTracer(&tracer);
-            EngineGroup g(host, 4, kLookahead, threads);
-            g.attachTracer(&tracer);
-            for (unsigned s = 0; s < 4; ++s) {
-                g.postToShard(s, kLookahead + 11 * s, [&g, s] {
+            EngineGroup g(host, 4, kLookahead);
+            for (unsigned s = 0; s < 4; ++s)
+                g.shardEngine(s).setTracer(&tracer);
+            // Post in reverse shard order so posting order != shard order.
+            for (unsigned s = 4; s-- > 0;) {
+                g.postToShard(s, kLookahead + 11 * s, [&g, &tracer, s] {
                     Engine &e = g.shardEngine(s);
                     Tracer *t = e.tracer();
-                    EXPECT_NE(t, nullptr);
-                    EXPECT_TRUE(t->buffered());
+                    EXPECT_EQ(t, &tracer);
                     int pid =
                         t->process("shard" + std::to_string(s));
                     int tid = t->lane(pid, "unit");
@@ -280,25 +213,20 @@ TEST(EngineGroupTest, AttachedTracerMergesShardSpansDeterministically)
         return ss.str();
     };
 
-    std::string serial = traceRun(1);
-    // All four shard process rows, the host row, and paired spans.
-    for (unsigned s = 0; s < 4; ++s)
-        EXPECT_NE(serial.find("shard" + std::to_string(s)),
-                  std::string::npos);
-    EXPECT_NE(serial.find("\"host\""), std::string::npos);
-    EXPECT_NE(serial.find("\"ph\":\"b\""), std::string::npos);
-    EXPECT_NE(serial.find("\"ph\":\"e\""), std::string::npos);
-    EXPECT_EQ(traceRun(2), serial);
-    EXPECT_EQ(traceRun(4), serial);
-}
-
-TEST(EngineGroupDeathTest, AttachTracerTwiceIsFatal)
-{
-    Engine host;
-    Tracer tracer;
-    EngineGroup g(host, 2, kLookahead, 1);
-    g.attachTracer(&tracer);
-    EXPECT_DEATH(g.attachTracer(&tracer), "already has a tracer");
+    std::string once = traceRun();
+    // All four shard process rows in shard order, the host row, and
+    // paired spans.
+    std::size_t prev = 0;
+    for (unsigned s = 0; s < 4; ++s) {
+        std::size_t at = once.find("\"shard" + std::to_string(s) + "\"");
+        ASSERT_NE(at, std::string::npos) << "shard" << s;
+        EXPECT_GT(at, prev) << "shard" << s;
+        prev = at;
+    }
+    EXPECT_NE(once.find("\"host\""), std::string::npos);
+    EXPECT_NE(once.find("\"ph\":\"b\""), std::string::npos);
+    EXPECT_NE(once.find("\"ph\":\"e\""), std::string::npos);
+    EXPECT_EQ(traceRun(), once);
 }
 
 // Epochs are skipped across idle gaps: two bursts separated by a long
@@ -306,7 +234,7 @@ TEST(EngineGroupDeathTest, AttachTracerTwiceIsFatal)
 TEST(EngineGroupTest, IdleGapsDoNotBurnEpochs)
 {
     Engine host;
-    EngineGroup g(host, 2, kLookahead, 1);
+    EngineGroup g(host, 2, kLookahead);
     unsigned ran = 0;
     g.shardEngine(0).schedule(10, [&ran] { ++ran; });
     g.shardEngine(1).schedule(1000 * kLookahead + 5, [&ran] { ++ran; });
@@ -318,7 +246,7 @@ TEST(EngineGroupTest, IdleGapsDoNotBurnEpochs)
 TEST(EngineGroupTest, HostOnlyWorkRunsWithoutShardActivity)
 {
     Engine host;
-    EngineGroup g(host, 2, kLookahead, 1);
+    EngineGroup g(host, 2, kLookahead);
     Tick saw = 0;
     host.schedule(kLookahead / 2, [&host, &saw] { saw = host.now(); });
     g.run();
@@ -328,7 +256,7 @@ TEST(EngineGroupTest, HostOnlyWorkRunsWithoutShardActivity)
 TEST(EngineGroupTest, RegisterStatsExportsCounters)
 {
     Engine host;
-    EngineGroup g(host, 2, kLookahead, 1);
+    EngineGroup g(host, 2, kLookahead);
     StatRegistry reg;
     g.registerStats(reg, "grp");
     g.postToShard(0, kLookahead, [&g] { g.postToHost(0, [] {}); });

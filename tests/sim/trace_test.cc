@@ -157,94 +157,9 @@ TEST_F(TracerTest, EngineTracerHookIsOptional)
     EXPECT_EQ(e.tracer(), nullptr);
 }
 
-TEST_F(TracerTest, BufferedTracerRecordsWithoutAFile)
-{
-    Tracer buf;
-    EXPECT_TRUE(buf.buffered());
-    EXPECT_EQ(buf.pending(), 0u);
-    int pid = buf.process("nand");
-    int tid = buf.lane(pid, "ch0.d0");
-    buf.slice(pid, tid, "read", "die", 100, 200);
-    buf.asyncBegin(pid, "io", "req", 1, 100);
-    buf.asyncEnd(pid, "io", "req", 1, 300);
-    buf.counter(pid, "depth", 150, 2.0);
-    EXPECT_EQ(buf.pending(), 4u);
-    EXPECT_EQ(buf.events(), 4u);
-    buf.finish(); // no-op in buffered mode; records stay drainable
-    EXPECT_EQ(buf.pending(), 4u);
-}
-
-TEST_F(TracerTest, DrainedBufferMatchesDirectEmissionByteForByte)
-{
-    std::string direct_path = _path + ".direct";
-    auto emitAll = [](Tracer &tr) {
-        int pid = tr.process("nand");
-        int tid = tr.lane(pid, "ch0.d0");
-        tr.slice(pid, tid, "read", "die", 1500, 4000);
-        tr.asyncBegin(pid, "io", "req", 0xabc, 100);
-        tr.asyncEnd(pid, "io", "req", 0xabc, 900);
-        tr.counter(pid, "depth", 500, 3.0);
-    };
-    {
-        Tracer tr(direct_path);
-        emitAll(tr);
-        tr.finish();
-    }
-    {
-        Tracer dst(_path);
-        Tracer buf;
-        emitAll(buf);
-        buf.drainInto(dst);
-        EXPECT_EQ(buf.pending(), 0u);
-        dst.finish();
-    }
-    EXPECT_EQ(slurp(_path), slurp(direct_path));
-    std::remove(direct_path.c_str());
-}
-
-TEST_F(TracerTest, DrainMergesTracksByName)
-{
-    Tracer dst(_path);
-    int host_pid = dst.process("nand");
-    Tracer buf;
-    // The buffer names the same process family: the drain must land
-    // on the destination's existing row, not allocate a second one.
-    int pid = buf.process("nand");
-    buf.slice(pid, buf.lane(pid, "ch0.d0"), "read", "die", 0, 10);
-    buf.drainInto(dst);
-    dst.finish();
-    std::string doc = slurp(_path);
-    EXPECT_EQ(countOccurrences(doc, "\"process_name\""), 1u);
-    (void)host_pid;
-}
-
-TEST_F(TracerTest, RepeatedDrainsAppendWithoutDuplicateMetadata)
-{
-    Tracer dst(_path);
-    Tracer buf;
-    int pid = buf.process("gc");
-    buf.counter(pid, "active", 0, 1.0);
-    buf.drainInto(dst);
-    buf.counter(pid, "active", 10, 0.0);
-    buf.drainInto(dst);
-    dst.finish();
-    std::string doc = slurp(_path);
-    EXPECT_EQ(countOccurrences(doc, "\"process_name\""), 1u);
-    EXPECT_EQ(countOccurrences(doc, "\"ph\":\"C\""), 2u);
-}
-
 TEST(TracerDeathTest, UnwritablePathIsFatal)
 {
     EXPECT_DEATH(Tracer("/nonexistent-dir/trace.json"), "cannot open");
-}
-
-TEST(TracerDeathTest, DrainFromAFileTracerIsFatal)
-{
-    Tracer a("/tmp/dssd_trace_test_drain_a.json");
-    Tracer b("/tmp/dssd_trace_test_drain_b.json");
-    EXPECT_DEATH(a.drainInto(b), "file-backed");
-    std::remove("/tmp/dssd_trace_test_drain_a.json");
-    std::remove("/tmp/dssd_trace_test_drain_b.json");
 }
 
 } // namespace

@@ -65,7 +65,7 @@ DSSD_SIM_RUNS = [
     ["--tenants=qd:16,w:1;qd:16,w:3,prio:1", "--arbiter=wrr",
      "--arrival=poisson:50000"],
     ["--tenants=2", "--arbiter=prio", "--slo=500"],
-    ["--shards=2", "--array-gc=token", "--parity", "--engine-threads=2"],
+    ["--shards=2", "--array-gc=token", "--parity", "--engine-threads=1"],
     ["--trace=prn_0"],
     ["--topology=ring"],
     ["--topology=crossbar"],

@@ -4,23 +4,23 @@
 Every figure must regenerate byte for byte from its seed. dssd_lint
 guards that contract over every .hh/.cc under its root (src/ by
 default): no wall clocks or unseeded PRNGs, no hash-order iteration,
-threads only inside the engine group, every stat registered, plus
-header, include-layering, policy-registry and tick-arithmetic hygiene.
+no threads, every stat registered, plus header, include-layering,
+policy-registry and tick-arithmetic hygiene.
 
 The checker is lexical. Comments and string literals are blanked, then
 R1-R6 match patterns line by line, and R1, R2 and R8-R10 also query
 facts extracted from every file of the tree at once: type aliases,
-class members, lambdas and the call each is passed to, async trace
-spans and Tick-typed names. That lets them see through a `using`
-alias, follow a class member into another file, and check properties
-no single line shows ("every stat is registered somewhere").
+class members, async trace spans and Tick-typed names. That lets them
+see through a `using` alias, follow a class member into another file,
+and check properties no single line shows ("every stat is registered
+somewhere").
 
 R1  determinism: no wall-clock or C random APIs. The model may not
-    consult std::chrono clocks, time(), gettimeofday(), clock(),
-    std::random_device or std::rand/srand, nor pull rand/srand/time/
-    clock in unqualified through a `using` declaration or directive.
-    All randomness flows through the seeded wrapper in sim/rng.hh (the
-    one exempted file).
+    consult std::chrono clocks, time() or std::time(), gettimeofday(),
+    clock() or std::clock(), std::random_device or std::rand/srand,
+    nor pull rand/srand/time/clock in unqualified through a `using`
+    declaration or directive. All randomness flows through the seeded
+    wrapper in sim/rng.hh (the one exempted file).
 
 R2  unordered-iteration: no range-for or begin() walk over a
     std::unordered_{map,set,multimap,multiset}. Their traversal order
@@ -56,16 +56,13 @@ R5  layering: each src/ subdirectory may only include headers from
     callbacks show the pattern for keeping an upward reference out of
     the DAG).
 
-R6  threading: all cross-thread machinery lives in
-    sim/engine_group.{hh,cc} (the conservative parallel-DES
-    coordinator). Everywhere else <thread>, <mutex>,
+R6  threading: src/ starts no thread. <thread>, <mutex>,
     <condition_variable>, <atomic>, <future>, std::async,
-    thread_local and std::this_thread are banned: model code runs
-    single-threaded inside one engine (or thread-confined inside one
-    shard of an EngineGroup), and ad-hoc threading breaks the
-    bit-identical N-thread == 1-thread guarantee. Route new
-    parallelism through the group's deterministic (tick, shard,
-    emission-order) merge.
+    thread_local and std::this_thread are banned everywhere in it:
+    the model runs on one thread, even an engine group's shards, and
+    non-atomic state such as sim/pool.hh's refcounts relies on that.
+    Parallelism lives outside src/, in the bench sweep runner, where
+    each thread owns a whole experiment.
 
 R7  policy-registry: every concrete GC policy class in ftl/policy.cc
     (a class deriving from VictimPolicy or AllocPolicy) must be
@@ -77,11 +74,12 @@ R7  policy-registry: every concrete GC policy class in ftl/policy.cc
     runs when ftl/policy.cc is among the linted files.
 
 R8  shard-confinement: pooled allocator handles (sim/pool.hh PoolPtr,
-    BlockPool, makePooled results) carry non-atomic refcounts owned by
-    one shard. A lambda passed to postToShard/postToHost may not
-    capture one; no pooled object lives at file scope (outside
-    sim/pool.hh); and only the array front-end (core/array.*) and sim/
-    may call EngineGroup::shardEngine().
+    BlockPool) carry non-atomic refcounts owned by one component tree,
+    so no pooled object lives at file scope (outside sim/pool.hh),
+    where the experiments that sweep threads run at once would share
+    it. Only the array front-end (core/array.*) and sim/ may call
+    EngineGroup::shardEngine(): model code reaches a shard through the
+    group's epoch-ordered messages.
 
 R9  stat-registration: every Counter / SampleStat / RateSeries member
     of a class must be referenced by that class's registerStats()
@@ -280,38 +278,6 @@ def _raw_call_args(raw_text, callee):
     return []
 
 
-def split_top_commas(s):
-    """Split on commas not nested in (), [], <>, {}."""
-    parts, depth_round, depth_square, depth_brace, depth_angle = [], 0, 0, 0, 0
-    cur = []
-    for c in s:
-        if c == "(":
-            depth_round += 1
-        elif c == ")":
-            depth_round -= 1
-        elif c == "[":
-            depth_square += 1
-        elif c == "]":
-            depth_square -= 1
-        elif c == "{":
-            depth_brace += 1
-        elif c == "}":
-            depth_brace -= 1
-        elif c == "<":
-            depth_angle += 1
-        elif c == ">" and depth_angle > 0:
-            depth_angle -= 1
-        elif c == "," and not (depth_round or depth_square or
-                               depth_brace or depth_angle):
-            parts.append("".join(cur))
-            cur = []
-            continue
-        cur.append(c)
-    if cur:
-        parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Line rules R1-R6: patterns matched over one file's stripped lines.
 # Each check yields (rel, line, rule, message).
@@ -323,9 +289,9 @@ R1_PATTERNS = [
      "wall-clock time in the model breaks run-to-run determinism"),
     (re.compile(r"\bgettimeofday\s*\("),
      "wall-clock time in the model breaks run-to-run determinism"),
-    (re.compile(r"(?<![\w:])time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
+    (re.compile(r"(?:\bstd::|(?<![\w:]))time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
      "wall-clock time in the model breaks run-to-run determinism"),
-    (re.compile(r"(?<![\w:.])clock\s*\(\s*\)"),
+    (re.compile(r"(?:\bstd::|(?<![\w:.]))clock\s*\(\s*\)"),
      "CPU-clock sampling in the model breaks run-to-run determinism"),
     (re.compile(r"std::random_device"),
      "non-deterministic seeding; take an explicit seed and use "
@@ -353,7 +319,7 @@ USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\b")
 INCLUDE_QUOTED = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 GUARD_IFNDEF = re.compile(r"^\s*#\s*ifndef\s+(\w+)")
 
-# R6: threading primitives, confined to the engine-group coordinator.
+# R6: threading primitives, banned from the whole tree.
 R6_PATTERNS = [
     (re.compile(r"#\s*include\s*<(thread|mutex|condition_variable|"
                 r"atomic|future|shared_mutex|stop_token|barrier|latch|"
@@ -366,9 +332,6 @@ R6_PATTERNS = [
      "threading primitive"),
     (re.compile(r"\bthread_local\b"), "thread-local storage"),
 ]
-
-R6_EXEMPT = {Path("sim") / "engine_group.hh",
-             Path("sim") / "engine_group.cc"}
 
 # R5: allowed include targets per src/ subdirectory (the layering DAG).
 # A directory always may include itself; anything else must be listed.
@@ -497,18 +460,16 @@ def check_lines(path, rel, src):
                f"add it to LAYER_DEPS in dssd_lint.py")
 
     # R6 ------------------------------------------------------------
-    if rel not in R6_EXEMPT:
-        for no, code, _ in lines:
-            for pat, what in R6_PATTERNS:
-                m = pat.search(code)
-                if m:
-                    yield (rel, no, "R6",
-                           f"{what} '{m.group(0)}' outside "
-                           f"sim/engine_group.*: model code is "
-                           f"thread-confined; cross-thread work must "
-                           f"flow through the EngineGroup's "
-                           f"deterministic merge, never an ad-hoc "
-                           f"thread")
+    for no, code, _ in lines:
+        for pat, what in R6_PATTERNS:
+            m = pat.search(code)
+            if m:
+                yield (rel, no, "R6",
+                       f"{what} '{m.group(0)}' in src/: the model runs "
+                       f"on one thread and its state (pool refcounts "
+                       f"included) is not thread-safe; parallelism "
+                       f"belongs in the bench sweep runner, one whole "
+                       f"experiment per thread")
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +528,10 @@ def check_policy_registry(root):
 # One dict per file:
 #   file            path under the root
 #   classes         [{name, line, stat_fields: [{name, type, line}],
-#                     pool_fields: [...], unordered_fields: [...],
+#                     unordered_fields: [...],
 #                     registered: [member-name, ...] | None}]
 #                   (registered is non-None iff a registerStats body
 #                    for the class was seen in this file)
-#   lambdas         [{line, captures: [(name, init_expr)],
-#                     sink: call-name|None}]
-#   pooled_names    [name, ...]  (locals/params of pooled type)
 #   spans           [{kind: 'begin'|'end', cat, name, line}]
 #   narrow_casts    [{line, to, expr}]
 #   narrow_decls    [{line, to, name, expr}]
@@ -586,10 +544,7 @@ def check_policy_registry(root):
 #   libc_calls      [{name, line}]  (bare rand()/time()/srand() calls)
 # ---------------------------------------------------------------------------
 
-POOLED_TYPES = ("PoolPtr", "BlockPool", "PoolAllocator")
 STAT_TYPES = ("Counter", "SampleStat", "RateSeries")
-SINK_CALLS = ("postToShard", "postToHost", "schedule", "scheduleAbs")
-CROSSING_SINKS = ("postToShard", "postToHost")
 TICK_CALLS = ("now", "nextEventTick", "firstGcStart", "lastGcEnd",
               "lookahead", "gcFirstStart", "gcLastEnd")
 
@@ -626,8 +581,6 @@ FIELD_RE = re.compile(
     r"((?:\w+::)*\w+(?:\s*<[^;()]*?>)?)\s+(_?\w+)\s*(?:[;{]|=[^=])")
 REGSTATS_CC_RE = re.compile(r"\b(\w+)::registerStats\s*\(")
 MEMBER_MENTION_RE = re.compile(r"[&.]\s*(_?\w+)\b|\b(_\w+)\b")
-LAMBDA_RE = re.compile(r"\[([^\[\]]*)\]\s*(?:\([^)]*\))?\s*"
-                       r"(?:mutable\s*)?(?:noexcept\s*)?(?:->[^{]{0,60})?\{")
 # Member-call prefix required so declarations in headers (or fixture
 # stubs) don't register as span sites.
 SPAN_RE = re.compile(r"(?:\.|->)\s*async(Begin|End)\s*\(")
@@ -642,10 +595,6 @@ SHARD_ENGINE_RE = re.compile(r"(?:\.|->)\s*shardEngine\s*\(")
 USING_LIBC_RE = re.compile(
     r"\busing\s+(?:std::(rand|srand|time|clock)|(namespace\s+std))\s*;")
 LIBC_CALL_RE = re.compile(r"(?<![\w:.])(rand|srand|time|clock)\s*\(")
-POOLED_LOCAL_RE = re.compile(
-    r"\b(?:PoolPtr|PoolAllocator\s*<[^>]*>)\s+(\w+)\b|"
-    r"\b(?:auto|const auto)\s*&?\s+(\w+)\s*=\s*"
-    r"[^;]*(?:makePooled|PoolPtr::make)\b")
 # No '(' terminator: `PoolPtr makePooled();` is a function
 # declaration, not pooled state.
 GLOBAL_POOLED_RE = re.compile(
@@ -665,23 +614,6 @@ def resolve_alias(name, aliases, depth=0):
             seen = head.group(1)
         depth += 1
     return seen
-
-
-def _parse_captures(capture_text):
-    """[(name, init_expr)] for the named captures of a lambda's capture
-    list (init_expr is "" unless init-captured); a default capture
-    (= or &) names nothing."""
-    captures = []
-    for item in split_top_commas(capture_text):
-        if item in ("=", "&"):
-            continue
-        if item == "this" or item == "*this":
-            captures.append(("this", ""))
-            continue
-        m = re.match(r"&?\s*(\w+)\s*(?:=\s*(.*))?$", item, re.S)
-        if m:
-            captures.append((m.group(1), m.group(2) or ""))
-    return captures
 
 
 def _mentioned(body):
@@ -720,11 +652,10 @@ def extract_facts(rel, src):
     """The facts of one file (@p rel under the root, text @p src)."""
     code = src.code
     f = {
-        "file": rel, "classes": [], "lambdas": [], "pooled_names": [],
-        "spans": [], "narrow_casts": [], "narrow_decls": [],
-        "tick_subs": [], "unordered_names": [], "iterations": [],
-        "shard_engine_uses": [], "global_pooled": [], "using_libc": [],
-        "libc_calls": [],
+        "file": rel, "classes": [], "spans": [], "narrow_casts": [],
+        "narrow_decls": [], "tick_subs": [], "unordered_names": [],
+        "iterations": [], "shard_engine_uses": [], "global_pooled": [],
+        "using_libc": [], "libc_calls": [],
     }
 
     aliases = {}
@@ -733,13 +664,13 @@ def extract_facts(rel, src):
     for m in TYPEDEF_RE.finditer(code):
         aliases[m.group(2)] = m.group(1).strip()
 
-    # --- classes: stat/pool/unordered members + inline registerStats
+    # --- classes: stat/unordered members + inline registerStats
     spans = _class_spans(code)
     for name, body_start, body_end in spans:
         masked = _mask_nested(code, body_start, body_end, spans)
         cls = {"name": name, "line": src.line_of(body_start),
-               "stat_fields": [], "pool_fields": [],
-               "unordered_fields": [], "registered": None}
+               "stat_fields": [], "unordered_fields": [],
+               "registered": None}
         for fm in FIELD_RE.finditer(masked):
             ftype, fname = fm.group(1).strip(), fm.group(2)
             base = ftype.split("<")[0].strip()
@@ -748,8 +679,6 @@ def extract_facts(rel, src):
             base_last = base.split("::")[-1]
             if base_last in STAT_TYPES:
                 cls["stat_fields"].append(entry)
-            elif base_last in POOLED_TYPES:
-                cls["pool_fields"].append(entry)
             resolved = resolve_alias(base, aliases)
             if UNORDERED_IN_TYPE.search(ftype) or \
                     UNORDERED_IN_TYPE.search(resolved):
@@ -779,12 +708,10 @@ def extract_facts(rel, src):
             continue
         f["classes"].append({
             "name": m.group(1), "line": src.line_of(m.start()),
-            "stat_fields": [], "pool_fields": [], "unordered_fields": [],
+            "stat_fields": [], "unordered_fields": [],
             "registered": _mentioned(code[open_pos:end])})
 
-    # --- pooled locals/params and file-scope pooled state
-    for m in POOLED_LOCAL_RE.finditer(code):
-        f["pooled_names"].append(m.group(1) or m.group(2))
+    # --- file-scope pooled state
     class_ranges = [(s, e) for _, s, e in spans]
 
     def inside_class(off):
@@ -800,28 +727,6 @@ def extract_facts(rel, src):
                 if line_code == line_code.lstrip():
                     f["global_pooled"].append(
                         {"name": gm.group(1), "line": lineno})
-
-    # --- lambdas + their scheduling sink
-    sink_spans = []
-    for m in re.finditer(r"\b(" + "|".join(SINK_CALLS) + r")\s*\(", code):
-        end = match_delim(code, m.end() - 1, "(", ")")
-        if end > 0:
-            sink_spans.append((m.start(), end, m.group(1)))
-    for m in LAMBDA_RE.finditer(code):
-        prev = code[:m.start()].rstrip()[-1:]
-        if prev and prev not in "(,={;&|!<>+-*/%:?":
-            continue  # array subscript or attribute, not a lambda
-        sink = None
-        best = None
-        for s, e, name in sink_spans:
-            if s <= m.start() < e:
-                if best is None or s > best[0]:
-                    best = (s, e, name)
-        if best:
-            sink = best[2]
-        f["lambdas"].append({
-            "line": src.line_of(m.start()),
-            "captures": _parse_captures(m.group(1)), "sink": sink})
 
     # --- async span sites: parse the call's raw text (strings
     # intact) so multi-line calls and dynamic names resolve correctly.
@@ -951,13 +856,6 @@ class Program:
                         cur["registered"] = set()
                     cur["registered"].update(cls["registered"])
 
-        self.pooled_names = set()
-        for ff in facts:
-            self.pooled_names.update(ff["pooled_names"])
-            for cls in ff["classes"]:
-                for fld in cls["pool_fields"]:
-                    self.pooled_names.add(fld["name"])
-
         # container name -> (declaring alias or class, declaring file)
         self.unordered = {}
         for ff in facts:
@@ -1007,29 +905,16 @@ SHARD_ENGINE_OWNERS = ("core/array.cc", "core/array.hh", "sim/")
 
 
 def check_shard_confinement(prog):
-    """R8: pooled handles stay on their shard."""
+    """R8: no shared pooled state, no reaching into a shard engine."""
     for ff in prog.files:
-        for lam in ff["lambdas"]:
-            if lam["sink"] not in CROSSING_SINKS:
-                continue
-            for name, init_expr in lam["captures"]:
-                pooled = name in prog.pooled_names or any(
-                    p in init_expr for p in ("makePooled", "PoolPtr"))
-                if pooled:
-                    yield (ff["file"], lam["line"], "R8",
-                           f"lambda passed to {lam['sink']}() captures "
-                           f"pooled handle '{name}': PoolPtr refcounts are "
-                           f"non-atomic and shard-confined; crossing the "
-                           f"host<->shard message path hands the refcount "
-                           f"to another thread. Copy the payload out, or "
-                           f"allocate it from the receiving side's pool")
         for g in ff["global_pooled"]:
             if ff["file"] == Path("sim") / "pool.hh":
                 continue
             yield (ff["file"], g["line"], "R8",
                    f"file-scope pooled object '{g['name']}': pools are "
-                   f"owned by one shard's component tree; global pooled "
-                   f"state is reachable from every shard thread")
+                   f"owned by one component tree and their refcounts "
+                   f"are non-atomic; global pooled state is shared by "
+                   f"every experiment the sweep threads run at once")
         if ff["file"].as_posix().startswith(SHARD_ENGINE_OWNERS):
             continue
         for use in ff["shard_engine_uses"]:

@@ -2,10 +2,12 @@
 """Validate a Chrome trace_event JSON file produced by --trace.
 
 Checks that the document parses, that every event carries the fields
-its phase requires, that async begin/end events pair up, and that the
-expected track families (die ops, bus transfers, NoC packets, copyback
-stages) are present. CI runs this over the bench_fig07_main trace;
-it is also handy locally:
+its phase requires, that async begin/end events pair up, that no span
+begins while another with the same (pid, cat, id, name) is still open
+(the viewer would pair them wrongly), and that the expected track
+families (die ops, bus transfers, NoC packets, copyback stages) are
+present. CI runs this over the bench_fig07_main trace; it is also
+handy locally:
 
     python3 tools/trace_check.py trace.json
     python3 tools/trace_check.py --require-tracks trace.json
@@ -90,6 +92,9 @@ def main():
             categories.add(ev["cat"])
         if ph in ("b", "e"):
             key = (ev["pid"], ev["cat"], ev["id"], ev["name"])
+            if ph == "b" and open_spans.get(key, 0) > 0:
+                fail(f"event {i}: async span {key} begins while one "
+                     f"with the same key is still open")
             open_spans[key] = open_spans.get(key, 0) + (
                 1 if ph == "b" else -1
             )

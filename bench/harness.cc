@@ -504,12 +504,14 @@ runExperiment(const ExpParams &p)
     // Without host I/O every host stat is empty and reads as zero.
     ExpResult r;
     r.ioBytesPerSec = host.ioBytes().averageRate(0, p.window);
-    r.avgLatencyUs = host.allLatency().mean() / tickUs;
-    r.p99LatencyUs = host.allLatency().percentile(99) / tickUs;
-    r.p999LatencyUs = host.allLatency().percentile(99.9) / tickUs;
-    r.readAvgLatencyUs = host.readLatency().mean() / tickUs;
-    r.readP99LatencyUs = host.readLatency().percentile(99) / tickUs;
-    r.readP999LatencyUs = host.readLatency().percentile(99.9) / tickUs;
+    const SampleStat all = host.allLatency();
+    r.avgLatencyUs = all.mean() / tickUs;
+    r.p99LatencyUs = all.percentile(99) / tickUs;
+    r.p999LatencyUs = all.percentile(99.9) / tickUs;
+    const SampleStat reads = host.readLatency();
+    r.readAvgLatencyUs = reads.mean() / tickUs;
+    r.readP99LatencyUs = reads.percentile(99) / tickUs;
+    r.readP999LatencyUs = reads.percentile(99.9) / tickUs;
     r.ioCompleted = host.completed();
     for (double v : host.ioBytes().ratePerSec())
         r.ioBwSeries.push_back(v / 1e9);
@@ -517,9 +519,10 @@ runExperiment(const ExpParams &p)
         const TenantStats &ts = host.tenantStats(t);
         TenantResult tr;
         tr.ioBytesPerSec = ts.ioBytes().averageRate(0, p.window);
-        tr.avgLatencyUs = ts.latency().mean() / tickUs;
-        tr.p99LatencyUs = ts.latency().percentile(99) / tickUs;
-        tr.p999LatencyUs = ts.latency().percentile(99.9) / tickUs;
+        const SampleStat lat = ts.latency();
+        tr.avgLatencyUs = lat.mean() / tickUs;
+        tr.p99LatencyUs = lat.percentile(99) / tickUs;
+        tr.p999LatencyUs = lat.percentile(99.9) / tickUs;
         tr.sloCompliance = ts.sloCompliance();
         tr.completed = ts.completed();
         tr.dropped = ts.dropped();

@@ -234,8 +234,7 @@ struct Recovery
 };
 
 void
-traceRecoverySpan(Engine &engine, const Recovery &rec, const char *name,
-                  Tick start)
+traceRecoverySpan(Engine &engine, const char *name, Tick start)
 {
 #if DSSD_TRACING
     Tracer *tr = engine.tracer();
@@ -247,7 +246,6 @@ traceRecoverySpan(Engine &engine, const Recovery &rec, const char *name,
     }
 #else
     (void)engine;
-    (void)rec;
     (void)name;
     (void)start;
 #endif
@@ -268,7 +266,7 @@ recoveryStep(Engine &engine, EccEngine &ecc,
                                                t0] {
                 bdSpanClose(engine, rec->bd, bdEcc, t0);
                 ecc.noteRetryRound();
-                traceRecoverySpan(engine, *rec, "retry", r0);
+                traceRecoverySpan(engine, "retry", r0);
                 recoveryStep(engine, ecc, rec);
             });
         });
@@ -285,7 +283,7 @@ recoveryStep(Engine &engine, EccEngine &ecc,
         Tick t0 = engine.now();
         ecc.processSoft(rec->bytes, rec->tag, [&engine, rec, t0] {
             bdSpanClose(engine, rec->bd, bdEcc, t0);
-            traceRecoverySpan(engine, *rec, "soft", t0);
+            traceRecoverySpan(engine, "soft", t0);
             rec->done(ReadSeverity::Soft);
         });
         return;
@@ -297,7 +295,7 @@ recoveryStep(Engine &engine, EccEngine &ecc,
     ecc.processSoft(rec->bytes, rec->tag, [&engine, &ecc, rec, t0] {
         bdSpanClose(engine, rec->bd, bdEcc, t0);
         ecc.noteUncorrectable();
-        traceRecoverySpan(engine, *rec, "soft", t0);
+        traceRecoverySpan(engine, "soft", t0);
         rec->done(ReadSeverity::Uncorrectable);
     });
 }

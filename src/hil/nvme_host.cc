@@ -246,12 +246,6 @@ NvmeHost::submitHead(unsigned q)
                     id = e.spanId] {
         Tick now = _engine.now();
         Tick lat = now - enq;
-        double lat_d = static_cast<double>(lat);
-        _allLat.sample(lat_d);
-        if (r.isRead())
-            _readLat.sample(lat_d);
-        else
-            _writeLat.sample(lat_d);
         _ioBytes.add(now, static_cast<double>(r.bytes));
         Tenant &t2 = _tenants[q];
         t2.stats.recordCompletion(r, now, lat);
@@ -310,6 +304,35 @@ NvmeHost::maybeFinish()
         _onFinished();
 }
 
+SampleStat
+NvmeHost::readLatency() const
+{
+    SampleStat read("read-latency");
+    for (const Tenant &t : _tenants)
+        read.merge(t.stats.readLatency());
+    return read;
+}
+
+SampleStat
+NvmeHost::writeLatency() const
+{
+    SampleStat write("write-latency");
+    for (const Tenant &t : _tenants)
+        write.merge(t.stats.writeLatency());
+    return write;
+}
+
+SampleStat
+NvmeHost::allLatency() const
+{
+    SampleStat all("io-latency");
+    for (const Tenant &t : _tenants) {
+        all.merge(t.stats.readLatency());
+        all.merge(t.stats.writeLatency());
+    }
+    return all;
+}
+
 const TenantStats &
 NvmeHost::tenantStats(unsigned tenant) const
 {
@@ -344,9 +367,10 @@ NvmeHost::registerStats(StatRegistry &reg,
     reg.addScalar(prefix + ".outstanding", [this] {
         return static_cast<double>(_deviceOutstanding);
     });
-    reg.addSample(prefix + ".latency.read", &_readLat);
-    reg.addSample(prefix + ".latency.write", &_writeLat);
-    reg.addSample(prefix + ".latency.all", &_allLat);
+    reg.addSample(prefix + ".latency.read", [this] { return readLatency(); });
+    reg.addSample(prefix + ".latency.write",
+                  [this] { return writeLatency(); });
+    reg.addSample(prefix + ".latency.all", [this] { return allLatency(); });
     reg.addRate(prefix + ".io_bytes", &_ioBytes);
     for (unsigned q = 0; q < tenantCount(); ++q) {
         const Tenant &t = _tenants[q];

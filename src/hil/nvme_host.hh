@@ -111,10 +111,11 @@ class NvmeHost
     unsigned deviceOutstanding() const { return _deviceOutstanding; }
     unsigned deviceDepth() const { return _deviceDepth; }
 
-    /** Aggregate stats across tenants. */
-    const SampleStat &readLatency() const { return _readLat; }
-    const SampleStat &writeLatency() const { return _writeLat; }
-    const SampleStat &allLatency() const { return _allLat; }
+    /** Aggregate latencies: merges of the tenants' distributions,
+     *  built on each call. */
+    SampleStat readLatency() const;
+    SampleStat writeLatency() const;
+    SampleStat allLatency() const;
     const RateSeries &ioBytes() const { return _ioBytes; }
 
     /** Per-tenant stats (latency, bandwidth, SLO compliance). */
@@ -185,9 +186,6 @@ class NvmeHost
     std::uint64_t _nextReqId = 0;
     std::vector<Tenant> _tenants;
     std::vector<ArbiterQueueState> _states; ///< pick() scratch
-    SampleStat _readLat{"read-latency"};
-    SampleStat _writeLat{"write-latency"};
-    SampleStat _allLat{"io-latency"};
     RateSeries _ioBytes;
     Engine::Callback _onFinished;
 };

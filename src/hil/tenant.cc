@@ -214,7 +214,6 @@ void
 TenantStats::recordCompletion(const IoRequest &req, Tick now, Tick lat)
 {
     double lat_d = static_cast<double>(lat);
-    _lat.sample(lat_d);
     if (req.isRead())
         _readLat.sample(lat_d);
     else
@@ -223,6 +222,15 @@ TenantStats::recordCompletion(const IoRequest &req, Tick now, Tick lat)
     ++_completed;
     if (_sloTargetNs > 0.0 && lat_d > _sloTargetNs)
         ++_sloViolations;
+}
+
+SampleStat
+TenantStats::latency() const
+{
+    SampleStat all("latency");
+    all.merge(_readLat);
+    all.merge(_writeLat);
+    return all;
 }
 
 double
@@ -246,7 +254,7 @@ TenantStats::registerStats(StatRegistry &reg,
     });
     reg.addSample(prefix + ".latency.read", &_readLat);
     reg.addSample(prefix + ".latency.write", &_writeLat);
-    reg.addSample(prefix + ".latency.all", &_lat);
+    reg.addSample(prefix + ".latency.all", [this] { return latency(); });
     reg.addRate(prefix + ".io_bytes", &_ioBytes);
     reg.addScalar(prefix + ".slo.target_us", [this] {
         return _sloTargetNs / 1e3;

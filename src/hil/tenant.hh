@@ -105,9 +105,10 @@ class TokenBucket
 };
 
 /**
- * Per-tenant runtime statistics: latency distribution, completed
+ * Per-tenant runtime statistics: latency distributions, completed
  * bandwidth, and SLO compliance. Owned by the host front-end, one per
- * tenant.
+ * tenant. Each completion's latency is stored once, by direction; the
+ * all-I/O distribution is their merge.
  */
 class TenantStats
 {
@@ -129,7 +130,8 @@ class TenantStats
      *  SLO is configured or nothing completed yet). */
     double sloCompliance() const;
 
-    const SampleStat &latency() const { return _lat; }
+    /** Every completion's latency: reads merged with writes. */
+    SampleStat latency() const;
     const SampleStat &readLatency() const { return _readLat; }
     const SampleStat &writeLatency() const { return _writeLat; }
     const RateSeries &ioBytes() const { return _ioBytes; }
@@ -146,7 +148,6 @@ class TenantStats
     std::uint64_t _completed = 0;
     std::uint64_t _dropped = 0;
     std::uint64_t _sloViolations = 0;
-    SampleStat _lat{"latency"};
     SampleStat _readLat{"read-latency"};
     SampleStat _writeLat{"write-latency"};
     RateSeries _ioBytes;

@@ -28,6 +28,18 @@ jsonNumber(double v)
     return buf;
 }
 
+std::string
+sampleJson(const SampleStat &s)
+{
+    return "{\"count\": " + jsonNumber(static_cast<double>(s.count())) +
+           ", \"mean\": " + jsonNumber(s.mean()) +
+           ", \"min\": " + jsonNumber(s.min()) +
+           ", \"p50\": " + jsonNumber(s.percentile(50.0)) +
+           ", \"p99\": " + jsonNumber(s.percentile(99.0)) +
+           ", \"p999\": " + jsonNumber(s.percentile(99.9)) +
+           ", \"max\": " + jsonNumber(s.max()) + "}";
+}
+
 } // namespace
 
 void
@@ -58,6 +70,16 @@ StatRegistry::addSample(const std::string &path, const SampleStat *s)
     e.path = path;
     e.kind = Kind::Sample;
     e.sample = s;
+    insert(std::move(e));
+}
+
+void
+StatRegistry::addSample(const std::string &path, SampleFn fn)
+{
+    Entry e;
+    e.path = path;
+    e.kind = Kind::Sample;
+    e.sampleFn = std::move(fn);
     insert(std::move(e));
 }
 
@@ -106,7 +128,8 @@ StatRegistry::value(const std::string &path) const
       case Kind::CounterStat:
         return static_cast<double>(e->counter->value());
       case Kind::Sample:
-        return static_cast<double>(e->sample->count());
+        return static_cast<double>(
+            e->sample ? e->sample->count() : e->sampleFn().count());
       case Kind::Rate:
         return e->rate->total();
       case Kind::Scalar:
@@ -154,18 +177,8 @@ StatRegistry::json() const
             out += jsonNumber(static_cast<double>(e.counter->value()));
             break;
           case Kind::Sample:
-            out += "{\"count\": " +
-                   jsonNumber(
-                       static_cast<double>(e.sample->count())) +
-                   ", \"mean\": " + jsonNumber(e.sample->mean()) +
-                   ", \"min\": " + jsonNumber(e.sample->min()) +
-                   ", \"p50\": " +
-                   jsonNumber(e.sample->percentile(50.0)) +
-                   ", \"p99\": " +
-                   jsonNumber(e.sample->percentile(99.0)) +
-                   ", \"p999\": " +
-                   jsonNumber(e.sample->percentile(99.9)) +
-                   ", \"max\": " + jsonNumber(e.sample->max()) + "}";
+            out += e.sample ? sampleJson(*e.sample)
+                            : sampleJson(e.sampleFn());
             break;
           case Kind::Rate:
             out += "{\"total\": " + jsonNumber(e.rate->total()) +

@@ -8,6 +8,8 @@
  * or a JSON document. The registry borrows the registered objects —
  * it must not outlive the model it describes — and never copies
  * sample data, so registration is free until a dump is requested.
+ * An aggregate distribution registers as a function that merges its
+ * parts when the registry is read.
  *
  * This is the SimpleSSD-style per-component stat tree: benches and
  * the CLI build a registry after a run (Ssd::registerStats,
@@ -32,12 +34,18 @@ class StatRegistry
   public:
     /** Gauge callback sampled at dump time. */
     using ScalarFn = std::function<double()>;
+    /** Distribution built at dump time, e.g. a merge of parts. */
+    using SampleFn = std::function<SampleStat()>;
 
     /** Register @p c under @p path. Paths are dotted, unique, and
      *  non-empty; duplicates are fatal(). */
     void addCounter(const std::string &path, const Counter *c);
     void addSample(const std::string &path, const SampleStat *s);
     void addRate(const std::string &path, const RateSeries *r);
+
+    /** Register an aggregate distribution, built each time the
+     *  registry is read, so it holds every sample taken until then. */
+    void addSample(const std::string &path, SampleFn fn);
 
     /** Register a scalar gauge evaluated when the registry is
      *  dumped (wraps plain integer accessors of model classes). */
@@ -71,7 +79,8 @@ class StatRegistry
         std::string path;
         Kind kind;
         const Counter *counter = nullptr;
-        const SampleStat *sample = nullptr;
+        const SampleStat *sample = nullptr; ///< else sampleFn
+        SampleFn sampleFn;
         const RateSeries *rate = nullptr;
         ScalarFn scalar;
     };

@@ -35,15 +35,25 @@ class Counter
 /**
  * A distribution of samples with exact order statistics.
  *
- * Samples are stored verbatim with reserve-ahead growth; percentile()
- * runs nth_element selection on a cached scratch copy (refreshed lazily
- * after new samples) instead of fully sorting. Exact percentiles matter
- * here: the paper's headline results are p99/p99.9 tail latencies.
- * mean()/min()/max() are O(1) streaming accumulators, so per-window
- * bookkeeping never touches the sample vector.
+ * Each distinct value is stored once, with the number of samples that
+ * took it, in ascending order; memory grows with the number of
+ * distinct values, not with the number of samples. Exact percentiles
+ * matter here: the paper's headline results are p99/p99.9 tail
+ * latencies. sample() appends to a pending buffer that is radix-sorted
+ * and merged into the store once it reaches a quarter of the store's
+ * size, so a sample costs amortized O(1) sorting plus a constant share
+ * of one linear merge. count/sum/mean/min/max are streaming
+ * accumulators; the sum adds in arrival order.
  *
+ * merge() adds another distribution's samples, which is how an
+ * aggregate (all I/O = reads + writes, a host = its tenants) is read
+ * without sampling every request twice. Over integer samples whose
+ * sum stays below 2^53, as every latency in ticks does, the merged
+ * sum and mean equal those of one stat that received every sample.
+ *
+ * A value seen 2^32 or more times is fatal rather than miscounted.
  * On an empty distribution every accessor deterministically returns
- * 0.0 (never reads the backing storage).
+ * 0.0.
  */
 class SampleStat
 {
@@ -52,10 +62,11 @@ class SampleStat
 
     void sample(double v);
 
-    /** Pre-size storage for @p n samples (optional; growth is automatic). */
-    void reserve(std::size_t n) { _samples.reserve(n); }
+    /** Add every sample of @p other, a different stat, as if each
+     *  had been sampled here. */
+    void merge(const SampleStat &other);
 
-    std::uint64_t count() const { return _samples.size(); }
+    std::uint64_t count() const { return _count; }
     double sum() const { return _sum; }
     double mean() const;
     double min() const;
@@ -68,15 +79,22 @@ class SampleStat
     double percentile(double p) const;
 
     const std::string &name() const { return _name; }
-    const std::vector<double> &samples() const { return _samples; }
 
   private:
+    /** Sort the pending samples and merge them into the store. */
+    void fold() const;
+
     std::string _name;
-    std::vector<double> _samples;
-    mutable std::vector<double> _scratch; ///< selection workspace
-    mutable bool _scratchValid = false;
+    // The store: distinct samples as order-preserving keys, ascending,
+    // and how many samples took each. Folding pending samples in
+    // changes the representation only, so const accessors may do it.
+    mutable std::vector<std::uint64_t> _keys;
+    mutable std::vector<std::uint32_t> _counts;
+    mutable std::vector<std::uint64_t> _pending; ///< keys, arrival order
+    mutable std::vector<std::uint64_t> _radix;   ///< fold() workspace
+    std::uint64_t _count = 0;
     double _sum = 0.0;
-    double _min = 0.0; ///< streaming; valid iff !_samples.empty()
+    double _min = 0.0; ///< streaming; valid iff _count > 0
     double _max = 0.0;
 };
 

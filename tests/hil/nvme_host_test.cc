@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/ssd.hh"
 #include "hil/nvme_host.hh"
+#include "sim/registry.hh"
 #include "workload/arrival.hh"
 
 namespace dssd
@@ -711,6 +715,30 @@ sampleHash(const std::vector<double> &samples)
     return h;
 }
 
+/**
+ * Expect @p st to hold exactly the samples @p seq: count, sum, min,
+ * max, and every whole percentile from p0 to p100 against the sorted
+ * samples (nearest rank).
+ */
+void
+expectHoldsExactly(const SampleStat &st, std::vector<double> seq)
+{
+    ASSERT_EQ(st.count(), seq.size());
+    double sum = 0.0;
+    for (double v : seq)
+        sum += v;
+    EXPECT_EQ(st.sum(), sum);
+    std::sort(seq.begin(), seq.end());
+    EXPECT_EQ(st.min(), seq.front());
+    EXPECT_EQ(st.max(), seq.back());
+    for (int p = 0; p <= 100; ++p) {
+        std::size_t rank = static_cast<std::size_t>(
+            std::ceil(p / 100.0 * static_cast<double>(seq.size())));
+        rank = std::clamp<std::size_t>(rank, 1, seq.size());
+        EXPECT_EQ(st.percentile(p), seq[rank - 1]) << "p" << p;
+    }
+}
+
 TEST(NvmeHostTest, SingleTenantClosedLoopMatchesQueueDriverExactly)
 {
     // The acceptance bar for the front-end: one tenant, round-robin,
@@ -718,7 +746,11 @@ TEST(NvmeHostTest, SingleTenantClosedLoopMatchesQueueDriverExactly)
     // expected values are the run of the retired QueueDriver (the
     // single-queue host NvmeHost replaced) on these exact inputs,
     // frozen when it was deleted: end tick, completions, and every
-    // latency sample via count, sum and an order-sensitive hash.
+    // latency sample via count, sum and an order-sensitive hash. The
+    // submit wrapper records each latency in completion order; closed
+    // loop with free device slots, a request enters the device at the
+    // tick it entered the queue. The host's stats must hold exactly
+    // those latencies.
     SsdConfig c = makeConfig(ArchKind::Baseline);
     c.geom.channels = 4;
     c.geom.ways = 2;
@@ -739,10 +771,14 @@ TEST(NvmeHostTest, SingleTenantClosedLoopMatchesQueueDriverExactly)
     Ssd ssd(e, c);
     ssd.prefill(0.5, 0.0);
     SyntheticGenerator gen(sp);
+    std::vector<double> s;
     NvmeHost host(
         e,
         [&](const IoRequest &r, Engine::Callback cb) {
-            ssd.submit(r, std::move(cb));
+            ssd.submit(r, [&e, &s, at = e.now(), cb = std::move(cb)] {
+                s.push_back(static_cast<double>(e.now() - at));
+                cb();
+            });
         },
         NvmeHostParams{}); // deviceDepth 0 = sum of tenant depths
     TenantParams tp;
@@ -754,14 +790,50 @@ TEST(NvmeHostTest, SingleTenantClosedLoopMatchesQueueDriverExactly)
     EXPECT_EQ(e.now(), 341920u);
     ASSERT_EQ(host.completed(), 300u);
     EXPECT_DOUBLE_EQ(host.ioBytes().total(), 300.0 * 4 * kKiB);
-    const auto &s = host.allLatency().samples();
     ASSERT_EQ(s.size(), 300u);
     EXPECT_DOUBLE_EQ(s[0], 1000.0);
     EXPECT_DOUBLE_EQ(s[2], 2024.0);
     EXPECT_DOUBLE_EQ(host.allLatency().sum(), 11103960.0);
     EXPECT_EQ(sampleHash(s), 0x559cd0d50ff72f1dull);
+    expectHoldsExactly(host.allLatency(), s);
     EXPECT_EQ(host.readLatency().count(), 150u);
     EXPECT_EQ(host.writeLatency().count(), 150u);
+}
+
+TEST(NvmeHostTest, RegisteredLatencyAggregatesReadLiveSamples)
+{
+    // The host's latency stats and each tenant's all-I/O latency are
+    // merges made when the registry is read, so a dump after more
+    // completions must count them.
+    Engine e;
+    FakeSsd ssd{e, 100};
+    SyntheticParams p;
+    p.count = 40;
+    p.readRatio = 0.5;
+    SyntheticGenerator g(p);
+    auto host = oneTenantHost(e, submitTo(ssd), g, 4);
+    StatRegistry reg;
+    host->registerStats(reg, "host");
+    host->start();
+    e.runUntil(450); // four rounds of four completions
+    ASSERT_EQ(host->completed(), 16u);
+    std::string doc = reg.json();
+    EXPECT_NE(doc.find("\"host.latency.all\": {\"count\": 16, "),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"host.tenant.0.latency.all\": {\"count\": 16, "),
+              std::string::npos);
+    e.run();
+    ASSERT_EQ(host->completed(), 40u);
+    doc = reg.json();
+    EXPECT_NE(doc.find("\"host.latency.all\": {\"count\": 40, "),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"host.tenant.0.latency.all\": {\"count\": 40, "),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(reg.value("host.latency.read") +
+                         reg.value("host.latency.write"),
+                     40.0);
+    EXPECT_EQ(reg.value("host.latency.read"),
+              reg.value("host.tenant.0.latency.read"));
 }
 
 TEST(NvmeHostTest, WeightedArbitrationSplitsBandwidthByWeight)
@@ -932,7 +1004,9 @@ TEST(NvmeHostTest, OpenLoopLatencyIncludesQueueWait)
 {
     // Two same-tick arrivals into a serial device: the second request
     // waits a full service time in the SQ, and that wait must appear
-    // in its latency sample.
+    // in its latency sample. The submit wrapper records each latency
+    // from the request's arrival stamp, in completion order, and the
+    // host's stats must hold exactly those latencies.
     Engine e;
     FakeSsd ssd{e, 1000};
     ListGen gen;
@@ -944,10 +1018,14 @@ TEST(NvmeHostTest, OpenLoopLatencyIncludesQueueWait)
     }
     NvmeHostParams hp;
     hp.deviceDepth = 1;
+    std::vector<double> s;
     NvmeHost host(
         e,
         [&](const IoRequest &r, Engine::Callback cb) {
-            ssd.submit(r, std::move(cb));
+            ssd.submit(r, [&e, &s, at = r.issueAt, cb = std::move(cb)] {
+                s.push_back(static_cast<double>(e.now() - at));
+                cb();
+            });
         },
         hp);
     TenantParams tp;
@@ -955,10 +1033,10 @@ TEST(NvmeHostTest, OpenLoopLatencyIncludesQueueWait)
     host.addTenant(tp, gen, /*open_loop=*/true);
     host.start();
     e.run();
-    const auto &s = host.allLatency().samples();
     ASSERT_EQ(s.size(), 2u);
     EXPECT_DOUBLE_EQ(s[0], 1000.0);
     EXPECT_DOUBLE_EQ(s[1], 2000.0); // 1000 queued + 1000 service
+    expectHoldsExactly(host.allLatency(), s);
 }
 
 TEST(NvmeHostTest, OpenLoopRunsAreDeterministic)
@@ -978,10 +1056,15 @@ TEST(NvmeHostTest, OpenLoopRunsAreDeterministic)
                               ap, 42);
         NvmeHostParams hp;
         hp.deviceDepth = 2;
+        // Each latency from its arrival stamp, in completion order.
         NvmeHost host(
             e,
             [&](const IoRequest &r, Engine::Callback cb) {
-                ssd.submit(r, std::move(cb));
+                ssd.submit(r, [&e, &samples, at = r.issueAt,
+                               cb = std::move(cb)] {
+                    samples.push_back(static_cast<double>(e.now() - at));
+                    cb();
+                });
             },
             hp);
         TenantParams tp;
@@ -989,7 +1072,7 @@ TEST(NvmeHostTest, OpenLoopRunsAreDeterministic)
         host.addTenant(tp, gen, /*open_loop=*/true);
         host.start();
         e.run();
-        samples = host.allLatency().samples();
+        expectHoldsExactly(host.allLatency(), samples);
     };
     std::vector<double> a, b;
     run(a);

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/gc.hh"
 #include "core/ssd.hh"
@@ -245,6 +247,75 @@ TEST_P(PercentileProperty, MatchesReferenceNearestRank)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PercentileProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+//
+// The distinct-value store stays exact across many pending-buffer
+// folds: every query, interleaved with sampling, matches a sorted copy
+// of every sample so far.
+//
+
+class DistinctStoreProperty : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(DistinctStoreProperty, QueriesBetweenFoldsMatchSortOracle)
+{
+    Rng rng(GetParam());
+    SampleStat s;
+    std::vector<double> sorted; // oracle: every sample, ascending
+    std::vector<double> fresh;  // samples since the last query
+    double sum = 0.0, lo = 0.0, hi = 0.0;
+    std::uint64_t n = 0, next_query = 1;
+    while (n < 200000) {
+        double v;
+        switch (rng.uniformInt(0, 3)) {
+          case 0: // heavy duplicates
+            v = static_cast<double>(rng.uniformInt(0, 15));
+            break;
+          case 1: // negative duplicates
+            v = -static_cast<double>(rng.uniformInt(1, 40));
+            break;
+          case 2: // continuous reals of either sign
+            v = rng.uniformReal(-1e3, 1e6);
+            break;
+          default: // integer ticks that repeat a few times each
+            v = static_cast<double>(rng.uniformInt(0, 50000));
+            break;
+        }
+        s.sample(v);
+        fresh.push_back(v);
+        sum += v;
+        lo = n == 0 ? v : std::min(lo, v);
+        hi = n == 0 ? v : std::max(hi, v);
+        if (++n != next_query)
+            continue;
+        std::size_t old = sorted.size();
+        std::sort(fresh.begin(), fresh.end());
+        sorted.insert(sorted.end(), fresh.begin(), fresh.end());
+        std::inplace_merge(sorted.begin(), sorted.begin() + old,
+                           sorted.end());
+        fresh.clear();
+        ASSERT_EQ(s.count(), n);
+        ASSERT_EQ(s.sum(), sum);
+        ASSERT_EQ(s.min(), lo);
+        ASSERT_EQ(s.max(), hi);
+        ASSERT_EQ(s.mean(), sum / static_cast<double>(n));
+        for (double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+            std::size_t rank = static_cast<std::size_t>(
+                std::ceil(p / 100.0 * static_cast<double>(n)));
+            rank = std::clamp<std::size_t>(rank, 1, sorted.size());
+            ASSERT_EQ(s.percentile(p), sorted[rank - 1])
+                << "p" << p << " after " << n << " samples";
+        }
+        // Irregular gaps, some long enough for sample() to fold a
+        // buffer of a quarter of the store before the next query.
+        next_query =
+            n + 1 + rng.uniformInt(0, rng.chance(0.125) ? 40000 : 4000);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DistinctStoreProperty,
+                         ::testing::Values(3, 17, 29));
 
 } // namespace
 } // namespace dssd

@@ -31,6 +31,32 @@ TEST(StatRegistryTest, SampleReportsCountAsValue)
     EXPECT_DOUBLE_EQ(reg.value("host.latency"), 2.0);
 }
 
+TEST(StatRegistryTest, AggregateSampleIsBuiltAtDumpTime)
+{
+    // An aggregate registers as a merge of its parts, made when the
+    // registry is read: samples taken after registration must show.
+    SampleStat reads, writes;
+    reads.sample(100);
+    StatRegistry reg;
+    reg.addSample("host.latency.all", [&reads, &writes] {
+        SampleStat all;
+        all.merge(reads);
+        all.merge(writes);
+        return all;
+    });
+    EXPECT_NE(reg.json().find("\"host.latency.all\": {\"count\": 1, "
+                              "\"mean\": 100, \"min\": 100, \"p50\": 100, "
+                              "\"p99\": 100, \"p999\": 100, \"max\": 100}"),
+              std::string::npos);
+    writes.sample(300);
+    reads.sample(200);
+    EXPECT_DOUBLE_EQ(reg.value("host.latency.all"), 3.0);
+    EXPECT_NE(reg.json().find("\"host.latency.all\": {\"count\": 3, "
+                              "\"mean\": 200, \"min\": 100, \"p50\": 200, "
+                              "\"p99\": 300, \"p999\": 300, \"max\": 300}"),
+              std::string::npos);
+}
+
 TEST(StatRegistryTest, RateReportsTotalAsValue)
 {
     RateSeries r(tickMs);

@@ -53,8 +53,8 @@ TEST(SampleStatTest, StreamingMinMaxTracksNegatives)
 
 TEST(SampleStatTest, InterleavedPercentileQueriesStayExact)
 {
-    // The selection scratch persists across queries and must be
-    // refreshed when samples arrive between them.
+    // Samples that arrive between queries must be folded into the
+    // store before the next query reads it.
     SampleStat s;
     for (int i = 1; i <= 1000; ++i)
         s.sample(1001 - i);
@@ -131,7 +131,7 @@ TEST(SampleStatTest, PercentileOutOfRangeIsFatal)
 
 TEST(SampleStatTest, NearestRankMatchesSortOracle)
 {
-    // Selection on the persistent scratch must agree with the naive
+    // Walking the distinct-value counts must agree with the naive
     // full-sort nearest-rank definition at every integer percentile.
     SampleStat s;
     std::vector<double> vals;
@@ -152,6 +152,68 @@ TEST(SampleStatTest, NearestRankMatchesSortOracle)
         EXPECT_DOUBLE_EQ(s.percentile(p), sorted[rank - 1])
             << "percentile " << p;
     }
+}
+
+TEST(SampleStatTest, MergeEqualsOneStoreOfEverySample)
+{
+    // An aggregate built by merging parts must read, through every
+    // accessor, exactly like one stat that received every sample:
+    // parts hold folded and pending samples, overlapping and disjoint
+    // values, and one part is empty. Integer samples keep the merged
+    // sum exact.
+    SampleStat whole, parts[3];
+    std::uint64_t x = 777;
+    for (int i = 0; i < 60000; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        double v = static_cast<double>((x >> 40) % 5000);
+        if (i % 7 == 0)
+            v += 100000.0; // values only part 2 holds
+        whole.sample(v);
+        parts[i % 7 == 0 ? 2 : (x >> 20) % 2].sample(v);
+    }
+    SampleStat empty;
+    SampleStat merged;
+    merged.merge(parts[0]);
+    merged.merge(empty);
+    merged.merge(parts[1]);
+    merged.merge(parts[2]);
+    EXPECT_EQ(merged.count(), whole.count());
+    EXPECT_EQ(merged.sum(), whole.sum());
+    EXPECT_EQ(merged.mean(), whole.mean());
+    EXPECT_EQ(merged.min(), whole.min());
+    EXPECT_EQ(merged.max(), whole.max());
+    for (int p = 0; p <= 100; ++p)
+        EXPECT_EQ(merged.percentile(p), whole.percentile(p)) << p;
+    EXPECT_EQ(merged.percentile(99.9), whole.percentile(99.9));
+
+    // Merging leaves the parts intact, and an empty merge target
+    // takes the other's min and max.
+    SampleStat again;
+    again.merge(empty);
+    again.merge(parts[2]);
+    EXPECT_EQ(again.count(), parts[2].count());
+    EXPECT_EQ(again.min(), parts[2].min());
+    EXPECT_EQ(again.max(), parts[2].max());
+    EXPECT_EQ(again.percentile(50), parts[2].percentile(50));
+    EXPECT_EQ(empty.count(), 0u);
+    EXPECT_EQ(empty.percentile(50), 0.0);
+}
+
+TEST(SampleStatDeathTest, CountPastTwoToTheThirtyTwoIsFatal)
+{
+    // Merging two stats of one value into each other grows its count
+    // as a Fibonacci sequence; the 2^32nd sample of one value must
+    // stop the run, not wrap its count.
+    auto grow = [] {
+        SampleStat a, b;
+        a.sample(7.0);
+        b.sample(7.0);
+        for (int i = 0; i < 64; ++i) {
+            a.merge(b);
+            b.merge(a);
+        }
+    };
+    EXPECT_DEATH(grow(), "more than 4294967295 samples of 7");
 }
 
 TEST(RateSeriesTest, WindowsAccumulate)

@@ -1,6 +1,7 @@
 #include "ftl/mapping.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/audit.hh"
 #include "sim/log.hh"
@@ -18,21 +19,30 @@ PageMapping::PageMapping(const MappingParams &params)
     if (params.gcFreeBlockTarget < params.gcFreeBlockThreshold)
         fatal("GC target must be >= GC threshold");
 
+    // Checked before any table is allocated: every Ppn, and so every
+    // Lpn, must fit a 32-bit entry below the kNoEntry sentinel.
+    if (_geom.totalPages() >= kNoEntry) {
+        fatal("geometry has %llu pages; the mapping's 32-bit tables "
+              "hold fewer than %u",
+              static_cast<unsigned long long>(_geom.totalPages()),
+              kNoEntry);
+    }
+
     _unitCount = _geom.channels * _geom.ways * _geom.diesPerWay *
                  _geom.planesPerDie;
+    _unitPages =
+        static_cast<std::uint64_t>(_geom.blocksPerPlane) * _geom.pagesPerBlock;
     _lpnCount = static_cast<Lpn>(
         static_cast<double>(_geom.totalPages()) *
         (1.0 - params.overProvision));
 
-    _l2p.assign(_lpnCount, invalidPpn);
-    _p2l.assign(_geom.totalPages(), invalidLpn);
+    _l2p.assign(_lpnCount, kNoEntry);
+    _p2l.assign(_geom.totalPages(), kNoEntry);
+    _valid.assign((_geom.totalPages() + 63) / 64, 0);
 
     _units.resize(_unitCount);
     for (auto &u : _units) {
         u.blocks.resize(_geom.blocksPerPlane);
-        u.valid.assign(static_cast<std::size_t>(_geom.blocksPerPlane) *
-                           _geom.pagesPerBlock,
-                       0);
         u.index.buckets.resize(_geom.pagesPerBlock + 1);
         u.bucketOf.assign(_geom.blocksPerPlane, -1);
         for (std::uint32_t b = 0; b < _geom.blocksPerPlane; ++b)
@@ -75,10 +85,10 @@ PageMapping::translate(Lpn lpn) const
 {
     if (lpn >= _lpnCount)
         panic("LPN %llu out of range", (unsigned long long)lpn);
-    Ppn p = _l2p[lpn];
-    if (p == invalidPpn)
+    std::uint32_t p = _l2p[lpn];
+    if (p == kNoEntry)
         return std::nullopt;
-    return p;
+    return Ppn{p};
 }
 
 bool
@@ -143,22 +153,20 @@ PageMapping::openActiveBlock(Unit &u, std::uint32_t unit)
     b.writePtr = 0;
 }
 
-PhysAddr
-PageMapping::allocateRaw(Lpn lpn, std::uint32_t unit)
+PageMapping::UnitPage
+PageMapping::claimPage(std::uint32_t unit)
 {
-    (void)lpn;
     Unit &u = _units[unit];
     if (!u.hasActive)
         openActiveBlock(u, unit);
     BlockState &b = u.blocks[u.activeBlock];
-    PhysAddr a = unitBlockAddr(unit, u.activeBlock);
-    a.page = b.writePtr++;
+    UnitPage at{u.activeBlock, b.writePtr++};
     b.lastWriteSeq = ++_allocSeq;
     if (b.writePtr == _geom.pagesPerBlock) {
         u.hasActive = false;
         u.index.fillOrder.push_back(u.activeBlock);
     }
-    return a;
+    return at;
 }
 
 PhysAddr
@@ -175,19 +183,19 @@ PageMapping::allocate(Lpn lpn)
     if (!unit_opt)
         panic("device full: no unit can allocate a page");
     std::uint32_t unit = *unit_opt;
-    PhysAddr a = allocateRaw(lpn, unit);
+    UnitPage at = claimPage(unit);
     // Host write: retire the previous copy, then map the new one.
     invalidate(lpn);
-    Ppn p = _geom.pageIndex(a);
-    _l2p[lpn] = p;
-    _p2l[p] = lpn;
-    Unit &u = _units[unit];
-    BlockState &b = u.blocks[a.block];
-    u.valid[a.block * _geom.pagesPerBlock + a.page] = 1;
-    ++b.validCount;
+    Ppn p = unitPpn(unit, at.block, at.page);
+    _l2p[lpn] = static_cast<std::uint32_t>(p);
+    _p2l[p] = static_cast<std::uint32_t>(lpn);
+    setValid(p);
+    ++_units[unit].blocks[at.block].validCount;
     ++_validPages;
     ++_hostWrites;
-    indexReconcile(unit, a.block);
+    indexReconcile(unit, at.block);
+    PhysAddr a = unitBlockAddr(unit, at.block);
+    a.page = at.page;
     return a;
 }
 
@@ -200,35 +208,33 @@ PageMapping::allocateInUnit(Lpn lpn, std::uint32_t unit)
     if (!u.hasActive && u.freeList.empty())
         panic("unit %u full during GC allocation", unit);
     (void)lpn;
-    PhysAddr a = allocateRaw(lpn, unit);
+    UnitPage at = claimPage(unit);
     // GC reservation: the page is claimed but not yet valid; the copy
     // commits via commitRelocation() when the data lands. Until then
     // the block is pinned against victim selection and erase.
-    ++u.blocks[a.block].pending;
+    ++u.blocks[at.block].pending;
     ++u.gcPending;
-    indexReconcile(unit, a.block);
+    indexReconcile(unit, at.block);
+    PhysAddr a = unitBlockAddr(unit, at.block);
+    a.page = at.page;
     return a;
 }
 
 void
 PageMapping::invalidatePpn(Ppn ppn)
 {
-    Lpn l = _p2l[ppn];
-    if (l == invalidLpn)
+    if (_p2l[ppn] == kNoEntry)
         return;
-    PhysAddr a = _geom.pageAddr(ppn);
-    std::uint32_t unit = unitOf(a);
-    Unit &u = _units[unit];
-    BlockState &b = u.blocks[a.block];
-    std::uint8_t &bit =
-        u.valid[a.block * _geom.pagesPerBlock + a.page];
-    if (!bit)
+    auto unit = static_cast<std::uint32_t>(ppn / _unitPages);
+    auto block =
+        static_cast<std::uint32_t>(ppn % _unitPages / _geom.pagesPerBlock);
+    if (!validBit(ppn))
         panic("invalidate of already-invalid page");
-    bit = 0;
-    --b.validCount;
+    clearValid(ppn);
+    --_units[unit].blocks[block].validCount;
     --_validPages;
-    _p2l[ppn] = invalidLpn;
-    indexReconcile(unit, a.block);
+    _p2l[ppn] = kNoEntry;
+    indexReconcile(unit, block);
 }
 
 void
@@ -236,11 +242,11 @@ PageMapping::invalidate(Lpn lpn)
 {
     if (lpn >= _lpnCount)
         panic("LPN %llu out of range", (unsigned long long)lpn);
-    Ppn old = _l2p[lpn];
-    if (old == invalidPpn)
+    std::uint32_t old = _l2p[lpn];
+    if (old == kNoEntry)
         return;
     invalidatePpn(old);
-    _l2p[lpn] = invalidPpn;
+    _l2p[lpn] = kNoEntry;
 }
 
 void
@@ -262,16 +268,16 @@ PageMapping::commitRelocation(Lpn lpn, const PhysAddr &dst)
         panic("unit GC-pending counter underflow");
     --u.gcPending;
 
-    Ppn old = _l2p[lpn];
-    if (old == invalidPpn) {
+    std::uint32_t old = _l2p[lpn];
+    if (old == kNoEntry) {
         ++_gcRelocations;
         indexReconcile(unit, dst.block);
         return;
     }
     invalidatePpn(old);
-    _l2p[lpn] = dstPpn;
-    _p2l[dstPpn] = lpn;
-    u.valid[dst.block * _geom.pagesPerBlock + dst.page] = 1;
+    _l2p[lpn] = static_cast<std::uint32_t>(dstPpn);
+    _p2l[dstPpn] = static_cast<std::uint32_t>(lpn);
+    setValid(dstPpn);
     ++b.validCount;
     ++_validPages;
     ++_gcRelocations;
@@ -349,22 +355,15 @@ PageMapping::pickVictim(std::uint32_t unit)
 std::vector<Lpn>
 PageMapping::validLpns(std::uint32_t unit, std::uint32_t block) const
 {
-    const Unit &u = _units[unit];
-    const BlockState &bs = u.blocks[block];
     std::vector<Lpn> out;
-    out.reserve(bs.validCount);
-    PhysAddr a = unitBlockAddr(unit, block);
-    const std::uint8_t *bits =
-        u.valid.data() +
-        static_cast<std::size_t>(block) * _geom.pagesPerBlock;
-    for (std::uint32_t p = 0; p < _geom.pagesPerBlock; ++p) {
-        if (!bits[p])
+    out.reserve(_units[unit].blocks[block].validCount);
+    Ppn first = unitPpn(unit, block);
+    for (Ppn p = first; p < first + _geom.pagesPerBlock; ++p) {
+        if (!validBit(p))
             continue;
-        a.page = p;
-        Lpn l = _p2l[_geom.pageIndex(a)];
-        if (l == invalidLpn)
+        if (_p2l[p] == kNoEntry)
             panic("valid page with no reverse mapping");
-        out.push_back(l);
+        out.push_back(_p2l[p]);
     }
     return out;
 }
@@ -382,10 +381,7 @@ PageMapping::eraseBlock(std::uint32_t unit, std::uint32_t block)
         panic("erase of free block");
     if (u.hasActive && block == u.activeBlock)
         panic("erase of the active block");
-    std::uint8_t *bits =
-        u.valid.data() +
-        static_cast<std::size_t>(block) * _geom.pagesPerBlock;
-    std::fill(bits, bits + _geom.pagesPerBlock, 0);
+    // validCount == 0, so every validity bit of the block is clear.
     bs.writePtr = 0;
     ++bs.eraseCount;
     ++_erases;
@@ -438,18 +434,85 @@ PageMapping::prefill(double fill_fraction, double invalid_fraction,
         invalid_fraction < 0.0 || invalid_fraction > 1.0) {
         fatal("prefill fractions must be in [0, 1]");
     }
+    // On a fresh mapping every table entry, validity bit, valid count
+    // and victim-index bucket is still empty, which the bulk build
+    // below relies on.
+    if (_allocSeq != 0) {
+        fatal("prefill needs a mapping that has taken no write, but %llu "
+              "pages were allocated",
+              static_cast<unsigned long long>(_allocSeq));
+    }
     Lpn fill = static_cast<Lpn>(static_cast<double>(_lpnCount) *
                                 fill_fraction);
-    for (Lpn l = 0; l < fill; ++l)
-        allocate(l);
-    // Random trim creates the "some random fraction of the pages are
-    // invalidated" precondition without consuming more free blocks.
-    for (Lpn l = 0; l < fill; ++l) {
-        if (rng.chance(invalid_fraction))
-            invalidate(l);
+
+    // Pass 1 walks a tile of LPNs in order. The allocation policy picks
+    // each one's unit and the unit's open block advances exactly as in
+    // allocate(); then the LPN draws its trim. A trimmed LPN's page is
+    // written and dead, so it is never mapped; a kept one gets its L2P
+    // entry and valid count. Pass 2 writes P2L and validity unit by
+    // unit: those tables are unit-major, and consecutive LPNs land in
+    // different units. Prefill is setup, not workload, so hostWrites()
+    // stays 0.
+    constexpr Lpn kTile = Lpn{1} << 16;
+    std::vector<std::uint32_t> tile_unit(std::min(kTile, fill));
+    std::vector<std::uint32_t> by_unit(tile_unit.size());
+    std::vector<std::uint32_t> next(_unitCount + 1);
+    for (Lpn base = 0; base < fill; base += kTile) {
+        auto n = static_cast<std::uint32_t>(std::min(kTile, fill - base));
+        std::fill(next.begin(), next.end(), 0);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            auto unit = _alloc->chooseUnit(*this);
+            if (!unit)
+                panic("device full: no unit can allocate a page");
+            UnitPage at = claimPage(*unit);
+            tile_unit[i] = *unit;
+            if (rng.chance(invalid_fraction))
+                continue;
+            _l2p[base + i] = static_cast<std::uint32_t>(
+                unitPpn(*unit, at.block, at.page));
+            ++_units[*unit].blocks[at.block].validCount;
+            ++_validPages;
+            ++next[*unit + 1];
+        }
+        // Counting sort of the tile's mapped LPNs by unit.
+        std::partial_sum(next.begin(), next.end(), next.begin());
+        std::uint32_t mapped = next[_unitCount];
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (_l2p[base + i] != kNoEntry)
+                by_unit[next[tile_unit[i]]++] = i;
+        }
+        for (std::uint32_t j = 0; j < mapped; ++j) {
+            Lpn l = base + by_unit[j];
+            std::uint32_t p = _l2p[l];
+            _p2l[p] = static_cast<std::uint32_t>(l);
+            setValid(p);
+        }
     }
-    // Prefill is setup, not workload: exclude it from WAF accounting.
-    _hostWrites = 0;
+
+    // The victim index, once, in place of one reconcile per page
+    // written and per trim.
+    for (std::uint32_t unit = 0; unit < _unitCount; ++unit) {
+        Unit &u = _units[unit];
+        for (std::uint32_t block = 0; block < _geom.blocksPerPlane;
+             ++block) {
+            if (!victimEligible(unit, block))
+                continue;
+            std::uint32_t valid = u.blocks[block].validCount;
+            u.index.buckets[valid].insert(u.index.buckets[valid].end(),
+                                          block);
+            u.bucketOf[block] = static_cast<std::int32_t>(valid);
+        }
+    }
+}
+
+void
+PageMapping::debugCorruptL2p(Lpn lpn, Ppn ppn)
+{
+    if (ppn >= kNoEntry) {
+        panic("ppn %llu does not fit the 32-bit L2P table",
+              static_cast<unsigned long long>(ppn));
+    }
+    _l2p.at(lpn) = static_cast<std::uint32_t>(ppn);
 }
 
 double
@@ -480,7 +543,7 @@ PageMapping::audit(AuditReport &r) const
     // L2P -> P2L: every mapped LPN's physical page must point back.
     for (Lpn l = 0; l < _lpnCount; ++l) {
         Ppn p = _l2p[l];
-        if (p == invalidPpn)
+        if (p == kNoEntry)
             continue;
         if (p >= _p2l.size()) {
             r.fail("L2P bijectivity: L2P[lpn %llu] = ppn %llu is out of "
@@ -502,7 +565,7 @@ PageMapping::audit(AuditReport &r) const
     // P2L -> L2P: every reverse entry must be the current forward map.
     for (Ppn p = 0; p < _p2l.size(); ++p) {
         Lpn l = _p2l[p];
-        if (l == invalidLpn)
+        if (l == kNoEntry)
             continue;
         if (l >= _lpnCount || _l2p[l] != p) {
             r.fail("P2L bijectivity: P2L[ppn %llu] = lpn %llu but "
@@ -510,7 +573,7 @@ PageMapping::audit(AuditReport &r) const
                    static_cast<unsigned long long>(p),
                    static_cast<unsigned long long>(l),
                    static_cast<unsigned long long>(
-                       l < _lpnCount ? _l2p[l] : invalidPpn));
+                       l < _lpnCount ? _l2p[l] : kNoEntry));
         }
     }
 
@@ -523,7 +586,7 @@ PageMapping::audit(AuditReport &r) const
         for (std::uint32_t b = 0; b < u.blocks.size(); ++b) {
             const BlockState &bs = u.blocks[b];
             std::uint32_t count = 0;
-            PhysAddr a = unitBlockAddr(un, b);
+            Ppn first = unitPpn(un, b);
             for (std::uint32_t pg = 0; pg < _geom.pagesPerBlock; ++pg) {
                 if (!pageValid(un, b, pg))
                     continue;
@@ -533,8 +596,7 @@ PageMapping::audit(AuditReport &r) const
                            "write pointer %u",
                            un, b, pg, bs.writePtr);
                 }
-                a.page = pg;
-                if (_p2l[_geom.pageIndex(a)] == invalidLpn) {
+                if (_p2l[first + pg] == kNoEntry) {
                     r.fail("unit %u block %u: page %u valid but has "
                            "no reverse mapping",
                            un, b, pg);

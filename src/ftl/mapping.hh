@@ -37,14 +37,10 @@ using Lpn = std::uint64_t;
 /** Physical page number (flat index, see FlashGeometry::pageIndex). */
 using Ppn = std::uint64_t;
 
-constexpr Lpn invalidLpn = ~static_cast<Lpn>(0);
-constexpr Ppn invalidPpn = ~static_cast<Ppn>(0);
-
 /**
- * Per-block state. Page-validity bits live in a flat per-unit bitmap
- * (structure-of-arrays, see PageMapping::pageValid) rather than a
- * per-block vector, so the hot invalidate/allocate paths touch one
- * contiguous allocation per unit.
+ * Per-block state. Page-validity bits live in one flat bitmap indexed
+ * by Ppn (structure-of-arrays, see PageMapping::pageValid) rather than
+ * a per-block vector.
  */
 struct BlockState
 {
@@ -86,7 +82,14 @@ struct MappingParams
  * The mapping table plus free-list/validity bookkeeping.
  *
  * A "unit" is one plane (the smallest independently programmable
- * resource); units are addressed by flat index.
+ * resource); units are addressed by flat index. Ppn is unit-major
+ * (FlashGeometry::pageIndex), so unit u owns the Ppns
+ * [u * pagesPerUnit, (u + 1) * pagesPerUnit).
+ *
+ * The per-page tables are dense (DESIGN.md §17): L2P and P2L hold
+ * 32-bit entries and validity is one bit per page. Lpn and Ppn stay
+ * 64-bit in every signature; the constructor rejects a geometry of
+ * 2^32 - 1 pages or more.
  */
 class PageMapping
 {
@@ -239,8 +242,7 @@ class PageMapping
     bool pageValid(std::uint32_t unit, std::uint32_t block,
                    std::uint32_t page) const
     {
-        return _units[unit]
-                   .valid[block * _geom.pagesPerBlock + page] != 0;
+        return validBit(unitPpn(unit, block, page));
     }
 
     /** Total valid pages across the device. */
@@ -250,10 +252,19 @@ class PageMapping
     double utilization() const;
 
     /**
-     * Logically fill the device: write LPNs 0..count-1, then rewrite a
+     * Logically fill the device: write LPNs 0..count-1, then trim a
      * random @p invalid_fraction of them so GC has work to do. Mirrors
      * the paper's setup ("SSD is fully utilized and some random
      * fraction of the pages are invalidated").
+     *
+     * Built in bulk, to exactly the state that allocate(l) for every
+     * l < count, then one rng.chance(invalid_fraction) per LPN in LPN
+     * order with invalidate(l) on each hit, would leave (hostWrites()
+     * excepted, which stays 0): tables, block states, free lists, fill
+     * order, victim index, allocSeq(), the allocation policy's cursor,
+     * and @p rng, which takes exactly count draws.
+     * @pre no page was allocated yet (allocSeq() == 0); fatal()
+     * otherwise. Retired blocks are fine.
      */
     void prefill(double fill_fraction, double invalid_fraction, Rng &rng);
 
@@ -273,16 +284,18 @@ class PageMapping
 
     /**
      * Fault-injection hook for auditor tests ONLY: overwrite the L2P
-     * entry of @p lpn with @p ppn, bypassing all bookkeeping.
+     * entry of @p lpn with @p ppn, bypassing all bookkeeping. panic()s
+     * on a @p ppn the 32-bit table cannot hold.
      */
-    void debugCorruptL2p(Lpn lpn, Ppn ppn) { _l2p.at(lpn) = ppn; }
+    void debugCorruptL2p(Lpn lpn, Ppn ppn);
 
   private:
+    /// L2P entry of an unmapped LPN; P2L entry of a page holding none.
+    static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+
     struct Unit
     {
         std::vector<BlockState> blocks;
-        /// Flat per-page validity bitmap, block-major (SoA layout).
-        std::vector<std::uint8_t> valid;
         std::deque<std::uint32_t> freeList;
         VictimIndex index;
         /// Bucket each block currently sits in (-1 = not eligible).
@@ -293,9 +306,34 @@ class PageMapping
         std::uint32_t gcPending = 0;
     };
 
-    PhysAddr allocateRaw(Lpn lpn, std::uint32_t unit);
+    /// A page of one unit.
+    struct UnitPage
+    {
+        std::uint32_t block;
+        std::uint32_t page;
+    };
+
+    /**
+     * Claim the next page of @p unit's open block, opening a free block
+     * first if none is open.
+     */
+    UnitPage claimPage(std::uint32_t unit);
     void openActiveBlock(Unit &u, std::uint32_t unit);
     void invalidatePpn(Ppn ppn);
+
+    /** Ppn of page @p page of @p block in @p unit. */
+    Ppn unitPpn(std::uint32_t unit, std::uint32_t block,
+                std::uint32_t page = 0) const
+    {
+        return static_cast<Ppn>(unit) * _unitPages +
+               static_cast<Ppn>(block) * _geom.pagesPerBlock + page;
+    }
+    bool validBit(Ppn p) const { return (_valid[p >> 6] >> (p & 63)) & 1; }
+    void setValid(Ppn p) { _valid[p >> 6] |= std::uint64_t{1} << (p & 63); }
+    void clearValid(Ppn p)
+    {
+        _valid[p >> 6] &= ~(std::uint64_t{1} << (p & 63));
+    }
 
     /**
      * Reconcile @p block's victim-index membership after a mutation:
@@ -310,8 +348,10 @@ class PageMapping
     FlashGeometry _geom;
     Lpn _lpnCount;
     std::uint32_t _unitCount;
-    std::vector<Ppn> _l2p;
-    std::vector<Lpn> _p2l;
+    std::uint64_t _unitPages; ///< pages per unit
+    std::vector<std::uint32_t> _l2p; ///< Lpn -> Ppn, or kNoEntry
+    std::vector<std::uint32_t> _p2l; ///< Ppn -> live Lpn, or kNoEntry
+    std::vector<std::uint64_t> _valid; ///< one validity bit per Ppn
     std::vector<Unit> _units;
     std::unique_ptr<VictimPolicy> _victim;
     std::unique_ptr<AllocPolicy> _alloc;

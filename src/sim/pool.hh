@@ -132,7 +132,7 @@ class PoolPtr
     ~PoolPtr()
     {
         if (--_p->_refs == 0)
-            delete _p;
+            destroy(_p);
     }
 
     BlockPool &operator*() const { return *_p; }
@@ -141,6 +141,11 @@ class PoolPtr
 
   private:
     explicit PoolPtr(BlockPool *p) : _p(p) { _p->_refs = 1; }
+
+    /// Kept out of line: inlined into allocate_shared, the delete
+    /// makes gcc's -Wuse-after-free flag the caller's own handle,
+    /// which still holds a reference there.
+    [[gnu::noinline]] static void destroy(BlockPool *p) { delete p; }
 
     BlockPool *_p;
 };

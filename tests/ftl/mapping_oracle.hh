@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "ftl/mapping.hh"
+#include "sim/rng.hh"
 
 namespace dssd
 {
@@ -25,6 +26,26 @@ reverseLookup(const PageMapping &m, Ppn ppn)
     for (std::uint32_t p = 0; p < a.page; ++p)
         rank += m.pageValid(unit, a.block, p);
     return m.validLpns(unit, a.block)[rank];
+}
+
+/**
+ * The definition PageMapping::prefill builds in bulk: write LPNs
+ * 0..count-1 one page at a time, then draw once per LPN, in LPN order,
+ * and trim each LPN drawn. Unlike prefill, it leaves hostWrites() at
+ * count.
+ */
+inline void
+referencePrefill(PageMapping &m, double fill_fraction,
+                 double invalid_fraction, Rng &rng)
+{
+    Lpn fill = static_cast<Lpn>(static_cast<double>(m.lpnCount()) *
+                                fill_fraction);
+    for (Lpn l = 0; l < fill; ++l)
+        m.allocate(l);
+    for (Lpn l = 0; l < fill; ++l) {
+        if (rng.chance(invalid_fraction))
+            m.invalidate(l);
+    }
 }
 
 } // namespace dssd

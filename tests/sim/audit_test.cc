@@ -112,10 +112,13 @@ TEST(AuditCorruptionTest, CorruptedL2pEntryIsDetected)
     ssd.registerAudits(a);
     EXPECT_EQ(a.run(), 0u) << "pristine SSD must audit clean";
 
-    // Point lpn 0 at a nonsense physical page.
-    ssd.mapping().debugCorruptL2p(0, ~static_cast<Ppn>(0) / 2);
+    // Point lpn 0 one past the last physical page: out of range, but
+    // a value the 32-bit L2P table can hold.
+    ssd.mapping().debugCorruptL2p(
+        0, ssd.mapping().geometry().totalPages());
     EXPECT_GT(a.run(), 0u);
     EXPECT_TRUE(anyViolationContains(a, "L2P bijectivity"));
+    EXPECT_TRUE(anyViolationContains(a, "out of range"));
 }
 
 TEST(AuditCorruptionTest, CrossLinkedL2pEntriesAreDetected)
